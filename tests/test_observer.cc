@@ -18,6 +18,7 @@
 
 #include "baselines/flush_channels.hh"
 #include "chan/channel.hh"
+#include "chan/cross_core.hh"
 #include "chan/degraded.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
@@ -115,6 +116,86 @@ TEST(ObserverEquivalence, DesktopNoisyPathBitIdentical)
     EXPECT_DOUBLE_EQ(r.calibrationMedians[0], 162.02829594941409);
     EXPECT_DOUBLE_EQ(r.calibrationMedians[1], 173.96812451193378);
     EXPECT_EQ(r.receiverCounters.l1DirtyWritebacks, 28u);
+}
+
+// ------------------------------------------------------------------
+// Scheduler pins: the two OS-noise paths the pins above never reach.
+// A timesliced mix-2 co-runner run drives the Scheduler's gang-freeze
+// split (descheduleShift plus single-op grace steps); a cross-core run
+// with migration rebinds the receiver front-end between cores mid-run.
+// The constants guard the execution engine: any change to how a
+// Program's ops are picked, executed or interleaved must keep them.
+// ------------------------------------------------------------------
+
+void
+expectCounters(const sim::PerfCounters &c, std::uint64_t loads,
+               std::uint64_t stores, std::uint64_t l1Misses,
+               std::uint64_t l1DirtyWritebacks,
+               std::uint64_t llcDirtyEvictions, std::uint64_t spinLoads)
+{
+    EXPECT_EQ(c.loads, loads);
+    EXPECT_EQ(c.stores, stores);
+    EXPECT_EQ(c.l1Misses, l1Misses);
+    EXPECT_EQ(c.l1DirtyWritebacks, l1DirtyWritebacks);
+    EXPECT_EQ(c.llcDirtyEvictions, llcDirtyEvictions);
+    EXPECT_EQ(c.spinLoads, spinLoads);
+}
+
+TEST(ObserverEquivalence, GangFreezeTimeslicePathBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 2;
+    cfg.seed = 5;
+    cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(2);
+    cfg.scheduler.timeslice = 20000;
+    const ChannelResult r = runChannel(cfg);
+    EXPECT_DOUBLE_EQ(r.ber, 0.1875);
+    EXPECT_EQ(r.simulatedCycles, 1961100u);
+    EXPECT_EQ(r.latencies.size(), 147u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 17449100023858267999ull);
+    EXPECT_EQ(r.schedulerStats.contextSwitches, 96u);
+    EXPECT_EQ(r.schedulerStats.migrations, 0u);
+    EXPECT_EQ(r.schedulerStats.pollutionAccesses, 768u);
+    EXPECT_EQ(r.schedulerStats.coRunnerAccesses, 66048u);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 64, 28, 33, 1, 0, 39435);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 1658, 0, 1517, 31, 0, 88994);
+    }
+}
+
+TEST(ObserverEquivalence, CrossCoreMigrationPathBitIdentical)
+{
+    CrossCoreChannelConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 2;
+    cfg.seed = 3;
+    cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(1);
+    cfg.scheduler.migrationPeriod = 30000;
+    const ChannelResult r = runCrossCoreChannel(cfg);
+    EXPECT_DOUBLE_EQ(r.ber, 0.4375);
+    EXPECT_EQ(r.simulatedCycles, 1164812u);
+    EXPECT_EQ(r.latencies.size(), 70u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 17005653025165851899ull);
+    EXPECT_EQ(r.schedulerStats.contextSwitches, 12u);
+    EXPECT_EQ(r.schedulerStats.migrations, 38u);
+    EXPECT_EQ(r.schedulerStats.pollutionAccesses, 120u);
+    EXPECT_EQ(r.schedulerStats.coRunnerAccesses, 44288u);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 64, 128, 97, 0, 0, 109806);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 1403, 0, 1335, 1, 96, 73669);
+    }
 }
 
 TEST(ObserverEquivalence, DefaultPlanIsIdentity)
