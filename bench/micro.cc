@@ -17,8 +17,6 @@
  *   hierarchy-dirty-evict  store stream exercising the WB-channel path
  *   pointer-chase    replacement-set traversal measurement (receiver)
  *   smt-step         two-thread SMT core stepping (ops = cycles)
- *   trace-step       smt-step as a flat/reference pair: trace-compiled
- *                    engine vs forced per-op virtual stepping
  *   spin-step        spin-wait-dominated stepping (ops = cycles)
  *   sweep-scaling-Nt fixed 8-cell channel work-list through a
  *                    SweepRunner pool with N workers (ops = cells)
@@ -382,38 +380,6 @@ benchPointerChase(double budgetSec)
 }
 
 /**
- * trace-step: the smt-step workload measured as a pair. "flat" runs
- * the trace-compiled engine (NoiseModel::traceExecution on, the
- * production default): each program's MemOps execute as whole
- * compiled slices. "reference" forces per-op stepping through the
- * virtual Program::next()/onResult() protocol — the pre-trace
- * engine. Both paths are bit-identical (tests/test_trace_equivalence)
- * so the ratio is pure dispatch overhead.
- */
-BenchResult
-benchTraceStep(const std::string &impl, double budgetSec)
-{
-    Rng rng(8);
-    HierarchyParams hp = xeonE5_2650Params();
-    Hierarchy h(hp, &rng);
-    NoiseModel noise;
-    noise.traceExecution = impl == "flat";
-    SmtCore core(h, noise, rng);
-    TraceProgram a({MemOp::load(0x1000), MemOp::store(0x2000)}, true);
-    TraceProgram b({MemOp::load(0x3000)}, true);
-    core.addThread(&a, AddressSpace(1));
-    core.addThread(&b, AddressSpace(2));
-    const Cycles step = 10000;
-    Cycles horizon = step;
-    return measure("trace-step", impl,
-                   "{\"threads\":2,\"unit\":\"cycles\"}", budgetSec,
-                   step, [&]() {
-                       core.run(horizon);
-                       horizon += step;
-                   });
-}
-
-/**
  * sweep-scaling-<N>t: a fixed 8-cell channel work-list fanned over a
  * SweepRunner pool with N workers; ops are cells. The 1t/2t/4t/8t
  * family tracks the thread-pool's wall-clock scaling on the build
@@ -441,7 +407,7 @@ benchSweepScaling(unsigned threads, double budgetSec)
         });
 }
 
-/** smt-step: two looping trace threads; ops are simulated cycles. */
+/** smt-step: two looping TraceProgram threads; ops are cycles. */
 BenchResult
 benchSmtStep(double budgetSec)
 {
@@ -770,8 +736,6 @@ main(int argc, char **argv)
     results.push_back(benchHierarchyDirtyEvict(budget));
     results.push_back(benchPointerChase(budget));
     results.push_back(benchSmtStep(budget));
-    results.push_back(benchTraceStep("flat", budget));
-    results.push_back(benchTraceStep("reference", budget));
     results.push_back(benchSpinStep(budget));
     results.push_back(benchChannelFrame(budget));
     results.push_back(benchCrossCoreFrame(budget));

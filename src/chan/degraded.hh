@@ -131,9 +131,7 @@ ChannelSets discoverChannelSets(sim::Hierarchy &hierarchy, ThreadId tid,
  * target set into the write-back queue), then time a single clflush
  * of a probe line — its latency carries the queued write-backs'
  * drain. Composes with the coarse-timer observer (dither delay before
- * the timed section, same as ReceiverProgram). Per-op only: the
- * variant is rare enough that a compiled trace isn't worth a second
- * draw-order contract.
+ * the timed section, same as ReceiverProgram).
  */
 class FlushLatencyReceiverProgram : public sim::Program
 {

@@ -80,67 +80,6 @@ ReceiverProgram::next(sim::ProcView &)
     return sim::MemOp::halt();
 }
 
-const sim::Trace *
-ReceiverProgram::nextTrace(sim::ProcView &view)
-{
-    // Only the steady-state Wait->Measure sample cycle is compiled;
-    // Warmup/Init (a handful of startup ops) and Done stay per-op.
-    if (phase_ != Phase::Wait)
-        return nullptr;
-    // A coarse-timer observer's measurement prepends a per-sample
-    // dither delay drawn at measurement start; keep that variant on
-    // the per-op path so the draw order matches startMeasurement()
-    // exactly (the default observer compiles traces as before).
-    if (view.noise().observer.coarseTimer())
-        return nullptr;
-    // The sweep targets the set the *current* useA_ selects, but its
-    // order is drawn at the post-spin hook: reshuffle() permutes the
-    // chase's order storage in place, so the batch op compiled here
-    // reads the fresh permutation when it executes.
-    PointerChase &chase = useA_ ? chaseA_ : chaseB_;
-    traceOps_[0] = sim::MemOp::spinUntil(tlast_ + tr_);
-    traceOps_[1] = sim::MemOp::tscRead();
-    traceOps_[2] = sim::MemOp::loadBatch(chase.order().data(),
-                                         chase.order().size());
-    traceOps_[3] = sim::MemOp::tscRead();
-    tracePoints_ = {0, 1, 3};
-    trace_ = {traceOps_.data(), 4, tracePoints_.data(), 3};
-    return &trace_;
-}
-
-void
-ReceiverProgram::onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                               const sim::OpResult &res,
-                               sim::ProcView &view)
-{
-    if (op.kind == sim::MemOp::Kind::SpinUntil) {
-        // Post-spin: re-base Tlast and draw the fresh chase order at
-        // the exact stream position the per-op path reshuffles at.
-        tlast_ = res.tsc;
-        (useA_ ? chaseA_ : chaseB_).reshuffle(view.rng());
-        return;
-    }
-    if (opIdx == 1) {
-        tscStart_ = res.tsc;
-        return;
-    }
-    // Final TSC read: record the traversal and decide what's next.
-    // Signed difference: a jittered observer can read end < start.
-    double latency = static_cast<double>(res.tsc) -
-                     static_cast<double>(tscStart_);
-    const double sigma = view.noise().measSigma(tr_);
-    if (sigma > 0.0)
-        latency += view.rng().gaussian(0.0, sigma);
-    obs_.push_back({latency, view.now()});
-    useA_ = !useA_; // Algorithm 2: alternate A and B
-    if (obs_.size() >= sampleCount_) {
-        done_ = true;
-        phase_ = Phase::Done;
-    } else {
-        phase_ = Phase::Wait;
-    }
-}
-
 void
 ReceiverProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
                           sim::ProcView &view)

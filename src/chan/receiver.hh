@@ -15,8 +15,6 @@
 #ifndef WB_CHAN_RECEIVER_HH
 #define WB_CHAN_RECEIVER_HH
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -52,20 +50,6 @@ class ReceiverProgram : public sim::Program
     std::optional<sim::MemOp> next(sim::ProcView &view) override;
     void onResult(const sim::MemOp &op, const sim::OpResult &res,
                   sim::ProcView &view) override;
-
-    /**
-     * One full sample compiled as a trace: [slot spin, TSC read,
-     * chase sweep, TSC read] with hooks on the spin (re-base Tlast and
-     * reshuffle the chase — the sweep op's address storage is updated
-     * in place, which the Trace contract allows) and on both TSC reads
-     * (start/stop of the timed traversal). The decode decision — stop
-     * or arm the next slot — happens at the final hook, making the
-     * sample boundary the receiver's fallback point.
-     */
-    const sim::Trace *nextTrace(sim::ProcView &view) override;
-    void onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                       const sim::OpResult &res,
-                       sim::ProcView &view) override;
 
     /** The recorded observations (valid after the run). */
     const std::vector<Observation> &observations() const { return obs_; }
@@ -116,10 +100,6 @@ class ReceiverProgram : public sim::Program
      * delay in [0, granule) when > 1.
      */
     Cycles ditherGranule_ = 1;
-
-    std::array<sim::MemOp, 4> traceOps_{};       //!< spin, tsc, sweep, tsc
-    std::array<std::uint32_t, 3> tracePoints_{}; //!< hooks: 0, 1, 3
-    sim::Trace trace_;
 };
 
 } // namespace wb::chan

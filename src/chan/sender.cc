@@ -44,35 +44,6 @@ SenderProgram::next(sim::ProcView &)
     return sim::MemOp::halt();
 }
 
-const sim::Trace *
-SenderProgram::nextTrace(sim::ProcView &)
-{
-    // Only the Encode->Wait slot cycle is compiled; Init (and the
-    // final halt) stay on the per-op path.
-    if (phase_ != Phase::Encode || symbolIdx_ >= dSeq_.size())
-        return nullptr;
-    const unsigned d = dSeq_[symbolIdx_];
-    std::size_t n = 0;
-    if (d > 0)
-        traceOps_[n++] = sim::MemOp::storeBatch(lines_.data(), d);
-    const auto spinIdx = static_cast<std::uint32_t>(n);
-    traceOps_[n++] = sim::MemOp::spinUntil(tlast_ + ts_);
-    tracePoints_[0] = spinIdx;
-    trace_ = {traceOps_.data(), n, tracePoints_.data(), 1};
-    return &trace_;
-}
-
-void
-SenderProgram::onTraceResult(std::uint32_t, const sim::MemOp &,
-                             const sim::OpResult &res, sim::ProcView &)
-{
-    // The hook sits on the slot spin: re-base the period clock and
-    // advance to the next symbol, as the per-op Wait result does.
-    tlast_ = res.tsc;
-    ++symbolIdx_;
-    phase_ = Phase::Encode;
-}
-
 void
 SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
                         sim::ProcView &)

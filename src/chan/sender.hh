@@ -13,8 +13,6 @@
 #ifndef WB_CHAN_SENDER_HH
 #define WB_CHAN_SENDER_HH
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,18 +38,6 @@ class SenderProgram : public sim::Program
     void onResult(const sim::MemOp &op, const sim::OpResult &res,
                   sim::ProcView &view) override;
 
-    /**
-     * One symbol slot compiled as a trace: the encode store sweep (when
-     * d > 0) plus the period spin, with a result hook on the spin — the
-     * post-spin timestamp re-bases Tlast, which the next slot's spin
-     * target depends on, so a slot boundary is the sender's
-     * data-dependent fallback point.
-     */
-    const sim::Trace *nextTrace(sim::ProcView &view) override;
-    void onTraceResult(std::uint32_t opIdx, const sim::MemOp &op,
-                       const sim::OpResult &res,
-                       sim::ProcView &view) override;
-
     /** True once every symbol has been modulated. */
     bool done() const { return done_; }
 
@@ -74,10 +60,6 @@ class SenderProgram : public sim::Program
     std::size_t symbolIdx_ = 0;
     Cycles tlast_ = 0;
     bool done_ = false;
-
-    std::array<sim::MemOp, 2> traceOps_{};     //!< [store sweep,] spin
-    std::array<std::uint32_t, 1> tracePoints_{}; //!< hook on the spin
-    sim::Trace trace_;
 };
 
 } // namespace wb::chan

@@ -91,16 +91,6 @@ struct NoiseModel
     double measRateSigma = 1800.0;
 
     /**
-     * Execute compiled traces (Program::nextTrace) when a program
-     * offers them, instead of forcing per-op next()/onResult dispatch.
-     * The two execution modes are bit-exact by contract
-     * (tests/test_trace_equivalence.cc); the flag exists so that suite
-     * can run the per-op reference path, and as an escape hatch while
-     * debugging a program's trace emitter.
-     */
-    bool traceExecution = true;
-
-    /**
      * What the observer's measurement apparatus can do (timer
      * resolution/jitter, flush availability, eviction-only fallback).
      * The default is the legacy full-strength observer; see

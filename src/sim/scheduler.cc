@@ -128,36 +128,6 @@ CoRunnerProgram::onResult(const MemOp &, const OpResult &, ProcView &)
 {
 }
 
-const Trace *
-CoRunnerProgram::nextTrace(ProcView &view)
-{
-    // Idle spinners re-base each wait on the current time, so they
-    // stay on the per-op path (one spin per step is not a hot loop).
-    if (kind_ == CoRunnerKind::Idle)
-        return nullptr;
-    if (inGap_) {
-        // Only reachable if trace execution was toggled mid-run; emit
-        // the pending gap so the op sequence stays identical.
-        inGap_ = false;
-        traceOps_[0] = MemOp::delay(gap_);
-        trace_ = {traceOps_.data(), 1, nullptr, 0};
-        return &trace_;
-    }
-    (void)view;
-    // Same pick moment as the per-op next(), so the burst preparation
-    // consumes this program's private Rng at the identical stream
-    // position; the trailing gap delay draws nothing. No result hooks:
-    // nothing downstream depends on a co-runner's op results.
-    prepareBurst();
-    accesses_ += pass_.size();
-    traceOps_[0] = kind_ == CoRunnerKind::RandomStore
-                       ? MemOp::storeBatch(pass_.data(), pass_.size())
-                       : MemOp::loadBatch(pass_.data(), pass_.size());
-    traceOps_[1] = MemOp::delay(gap_);
-    trace_ = {traceOps_.data(), 2, nullptr, 0};
-    return &trace_;
-}
-
 std::uint64_t
 CoRunnerProgram::burst(MemorySystem &mem, ThreadId tid,
                        const AddressSpace &space)
@@ -397,11 +367,11 @@ Scheduler::run(Cycles horizon)
             nextMigrationAt_ += cfg_.migrationPeriod;
         }
 
-        // The picked front-end may run a whole trace slice, but only
+        // The picked front-end may run many ops in one pick, but only
         // up to the next point where this loop's per-pick decisions
         // (migration, slice ownership, pollution, the global earliest-
-        // op-first order) could go differently — so batching is
-        // invisible to the simulated machine.
+        // op-first order) could go differently — so running them in
+        // one go is invisible to the simulated machine.
         Cycles bound = horizon;
         if (cfg_.migrationPeriod != 0)
             bound = std::min(bound, nextMigrationAt_);

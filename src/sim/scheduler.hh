@@ -38,7 +38,6 @@
 #ifndef WB_SIM_SCHEDULER_HH
 #define WB_SIM_SCHEDULER_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -191,7 +190,6 @@ class CoRunnerProgram final : public Program
     std::optional<MemOp> next(ProcView &view) override;
     void onResult(const MemOp &op, const OpResult &res,
                   ProcView &view) override;
-    const Trace *nextTrace(ProcView &view) override;
 
     /**
      * Restart the interference stream from @p seed exactly as a
@@ -227,8 +225,6 @@ class CoRunnerProgram final : public Program
     std::vector<Addr> pass_;   //!< current burst order (subset)
     bool inGap_ = false;       //!< next op is the inter-burst delay
     std::uint64_t accesses_ = 0;
-    std::array<MemOp, 2> traceOps_{}; //!< [burst, gap delay]
-    Trace trace_;                     //!< compiled burst+gap pair
 };
 
 /**

@@ -100,63 +100,33 @@ SmtCore::stepEarliest(Cycles horizon)
     }
     if (!found || threads_[pick].time >= horizon)
         return false;
-    step(threads_[pick], pick, /*bound=*/0);
+    step(threads_[pick], pick);
     return true;
 }
 
 void
 SmtCore::runUntil(Cycles bound)
 {
-    const ThreadId n = static_cast<ThreadId>(threads_.size());
-    if (n == 2 && !threads_[0].halted && !threads_[1].halted) {
-        // The SMT pair: same pick/tie/bound rules as the generic loop
-        // below, hand-specialized because this comparison runs once
-        // per simulated op in every two-thread deployment.
+    if (threads_.size() == 2 && !threads_[0].halted && !threads_[1].halted) {
+        // The SMT pair: same pick/tie/bound rules as stepEarliest(),
+        // hand-specialized because this comparison runs once per
+        // simulated op in every two-thread deployment.
         ThreadCtx &t0 = threads_[0];
         ThreadCtx &t1 = threads_[1];
         do {
             if (t0.time <= t1.time) {
                 if (t0.time >= bound)
                     return;
-                step(t0, 0, std::min(bound, t1.time + 1));
+                step(t0, 0);
             } else {
                 if (t1.time >= bound)
                     return;
-                step(t1, 1, std::min(bound, t0.time));
+                step(t1, 1);
             }
         } while (!t0.halted && !t1.halted);
         // A thread halted: the generic loop handles the remainder.
     }
-    for (;;) {
-        // Pick the earliest non-halted thread (ties: lowest id).
-        ThreadId pick = 0;
-        bool found = false;
-        for (ThreadId t = 0; t < n; ++t) {
-            if (threads_[t].halted)
-                continue;
-            if (!found || threads_[t].time < threads_[pick].time) {
-                pick = t;
-                found = true;
-            }
-        }
-        if (!found || threads_[pick].time >= bound)
-            return;
-
-        // The picked thread keeps winning this pick while, for every
-        // lower-indexed sibling j, time < t_j (a tie goes to j) and,
-        // for every higher-indexed one, time <= t_j (the tie is ours).
-        // Running it up to that limit in one go preserves the global
-        // earliest-op-first order exactly while letting compiled
-        // traces execute as whole slices.
-        Cycles tb = bound;
-        for (ThreadId t = 0; t < n; ++t) {
-            if (t == pick || threads_[t].halted)
-                continue;
-            const Cycles lim =
-                t < pick ? threads_[t].time : threads_[t].time + 1;
-            tb = std::min(tb, lim);
-        }
-        step(threads_[pick], pick, tb);
+    while (stepEarliest(bound)) {
     }
 }
 
@@ -432,62 +402,20 @@ SmtCore::execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
 }
 
 void
-SmtCore::step(ThreadCtx &ctx, ThreadId idx, Cycles bound)
+SmtCore::step(ThreadCtx &ctx, ThreadId idx)
 {
     const ThreadId tid = tidBase_ + idx; //!< system-wide hardware tid
-
-    if (ctx.trace == nullptr && noise_.traceExecution) {
-        ProcView view(tid, ctx.time, rng_, noise_);
-        if (const Trace *tr = ctx.program->nextTrace(view)) {
-            ctx.trace = tr;
-            ctx.tracePos = 0;
-            ctx.traceNextResult = 0;
-        }
-    }
-
-    if (ctx.trace == nullptr) {
-        // Per-op reference path: one next()/onResult round trip.
-        ProcView view(tid, ctx.time, rng_, noise_);
-        auto maybeOp = ctx.program->next(view);
-        if (!maybeOp || maybeOp->kind == MemOp::Kind::Halt) {
-            ctx.halted = true;
-            return;
-        }
-        const MemOp op = *maybeOp;
-        OpResult res;
-        if (!execOp(ctx, tid, idx, op, res))
-            return;
-        ProcView after(tid, ctx.time, rng_, noise_);
-        ctx.program->onResult(op, res, after);
+    ProcView view(tid, ctx.time, rng_, noise_);
+    const std::optional<MemOp> op = ctx.program->next(view);
+    if (!op) {
+        ctx.halted = true;
         return;
     }
-
-    // Trace slice: run ops back to back, pausing (with resume state in
-    // the ThreadCtx) when the bound is reached, so a sibling or the
-    // scheduler gets control exactly where the per-op loop would have
-    // handed it over.
-    const Trace &tr = *ctx.trace;
-    for (;;) {
-        const MemOp &op = tr.ops[ctx.tracePos];
-        OpResult res;
-        if (!execOp(ctx, tid, idx, op, res)) {
-            ctx.trace = nullptr;
-            return;
-        }
-        const auto opIdx = static_cast<std::uint32_t>(ctx.tracePos++);
-        if (ctx.traceNextResult < tr.resultCount &&
-            tr.resultPoints[ctx.traceNextResult] == opIdx) {
-            ++ctx.traceNextResult;
-            ProcView after(tid, ctx.time, rng_, noise_);
-            ctx.program->onTraceResult(opIdx, op, res, after);
-        }
-        if (ctx.tracePos >= tr.count) {
-            ctx.trace = nullptr;
-            return;
-        }
-        if (bound == 0 || ctx.time >= bound)
-            return;
-    }
+    OpResult res;
+    if (!execOp(ctx, tid, idx, *op, res))
+        return;
+    ProcView after(tid, ctx.time, rng_, noise_);
+    ctx.program->onResult(*op, res, after);
 }
 
 } // namespace wb::sim

@@ -97,29 +97,6 @@ struct MemOp
     }
 };
 
-/**
- * A compiled slice of a Program: operations emitted ahead of time so
- * the core can execute them back to back without bouncing through the
- * per-op virtual next()/onResult() dispatch (docs/ENGINE.md).
- *
- * `resultPoints` lists, in ascending order, the indices of the ops
- * whose results the program actually needs (timed-measurement
- * boundaries, spin re-bases); only those bounce back into the program
- * via Program::onTraceResult(). Everything the trace references —
- * the op array, the result-point array, and any batch address lists
- * the ops point at — must stay alive and unmoved until the trace's
- * last op has executed. Batch address *contents* may be updated from
- * an onTraceResult hook (the receiver reshuffles its chase order at
- * the post-spin result point); the storage itself must not move.
- */
-struct Trace
-{
-    const MemOp *ops = nullptr;
-    std::size_t count = 0;
-    const std::uint32_t *resultPoints = nullptr; //!< ascending op indices
-    std::size_t resultCount = 0;
-};
-
 /** Result of executing one MemOp, delivered to Program::onResult. */
 struct OpResult
 {
@@ -176,43 +153,6 @@ class Program
     /** Receive the result of the op just executed. */
     virtual void onResult(const MemOp &op, const OpResult &res,
                           ProcView &view) = 0;
-
-    /**
-     * Offer a compiled trace covering the ops this program would emit
-     * next. Consulted instead of next() whenever the thread needs new
-     * work and NoiseModel::traceExecution is on; returning nullptr
-     * falls back to the per-op next()/onResult() path (the default).
-     *
-     * The contract is bit-exactness with the per-op path: the trace's
-     * op sequence, and every RNG draw and state transition performed
-     * in nextTrace()/onTraceResult(), must occur exactly where the
-     * per-op path would perform them. A program therefore compiles a
-     * trace only up to its next data-dependent decision point (a spin
-     * target derived from a post-spin timestamp, a decode threshold,
-     * ARQ feedback) and resumes per-op — or emits a fresh trace —
-     * from there. The returned Trace and everything it references
-     * stay owned by the program (see Trace).
-     */
-    virtual const Trace *
-    nextTrace(ProcView &view)
-    {
-        (void)view;
-        return nullptr;
-    }
-
-    /**
-     * Result delivery for the ops a trace registered in resultPoints.
-     * @p opIdx is the op's index within the trace.
-     */
-    virtual void
-    onTraceResult(std::uint32_t opIdx, const MemOp &op, const OpResult &res,
-                  ProcView &view)
-    {
-        (void)opIdx;
-        (void)op;
-        (void)res;
-        (void)view;
-    }
 };
 
 /**
@@ -244,48 +184,10 @@ class TraceProgram : public Program
 
     void onResult(const MemOp &, const OpResult &, ProcView &) override {}
 
-    /** The whole remaining pass as one compiled trace (no hooks). */
-    const Trace *
-    nextTrace(ProcView &) override
-    {
-        if (ops_.empty())
-            return nullptr;
-        if (pos_ >= ops_.size()) {
-            if (!loop_)
-                return nullptr; // next() halts the thread
-            pos_ = 0;
-        }
-        if (loop_ && pos_ == 0) {
-            // Looping bodies are unrolled into a longer compiled block
-            // so the engine re-enters this virtual once per ~kUnroll
-            // ops instead of once per pass. Same op sequence as the
-            // per-op path, so the same draws in the same order.
-            if (unrolled_.empty()) {
-                const std::size_t passes =
-                    std::max<std::size_t>(1, kUnroll / ops_.size());
-                unrolled_.reserve(passes * ops_.size());
-                for (std::size_t p = 0; p < passes; ++p)
-                    unrolled_.insert(unrolled_.end(), ops_.begin(),
-                                     ops_.end());
-            }
-            pos_ = ops_.size();
-            trace_ = {unrolled_.data(), unrolled_.size(), nullptr, 0};
-            return &trace_;
-        }
-        trace_ = {ops_.data() + pos_, ops_.size() - pos_, nullptr, 0};
-        pos_ = ops_.size();
-        return &trace_;
-    }
-
   private:
-    /** Ops per compiled block handed out for looping programs. */
-    static constexpr std::size_t kUnroll = 128;
-
     std::vector<MemOp> ops_;
-    std::vector<MemOp> unrolled_; //!< lazily built loop unroll
     bool loop_;
     std::size_t pos_ = 0;
-    Trace trace_;
 };
 
 /**
@@ -378,13 +280,10 @@ class SmtCore
     /**
      * Execute ops of this core's threads, earliest-first with the
      * lowest-index tie rule, while the next op's start time lies
-     * below @p bound. Exactly equivalent to calling stepEarliest(
-     * bound) in a loop, but compiled traces run as whole slices: a
-     * thread keeps executing its trace inline until another thread
-     * (or the bound — a scheduler tick, a migration point, a sibling
-     * core's next op) would win the pick, which is where the batch
-     * splits. The caller guarantees that nothing outside this core
-     * can alter the interleaving before @p bound.
+     * below @p bound: stepEarliest(@p bound) in a loop. The caller
+     * guarantees that nothing outside this core can alter the
+     * interleaving before @p bound (a scheduler tick, a migration
+     * point, a sibling core's next op).
      */
     void runUntil(Cycles bound);
 
@@ -434,30 +333,18 @@ class SmtCore
          */
         Addr spinStackPaddr = 0;
         bool spinStackKnown = false;
-
-        /**
-         * Compiled trace in flight, if any: ops [tracePos, count) are
-         * still to execute. A paused trace (split at a batch bound)
-         * resumes where it stopped the next time the thread wins the
-         * pick; rebinds and deschedule shifts leave it intact.
-         */
-        const Trace *trace = nullptr;
-        std::size_t tracePos = 0;
-        std::size_t traceNextResult = 0; //!< next resultPoints index
     };
 
     /**
-     * Execute ops of the thread with local index @p idx: one per-op
-     * program op, or a compiled-trace slice running while
-     * ctx.time < @p bound (0 = exactly one op).
+     * Execute one op of the thread with local index @p idx: a
+     * next()/onResult() round trip around execOp().
      */
-    void step(ThreadCtx &ctx, ThreadId idx, Cycles bound);
+    void step(ThreadCtx &ctx, ThreadId idx);
 
     /**
-     * Execute one MemOp against the memory system: the single switch
-     * both the per-op and the trace path run, so the two modes stay
-     * bit-exact by construction. Advances ctx.time, rolls every noise
-     * draw, sets ctx.quiescent and res. @return false on Halt.
+     * Execute one MemOp against the memory system. Advances ctx.time,
+     * rolls every noise draw, sets ctx.quiescent and res. @return
+     * false on Halt.
      */
     bool execOp(ThreadCtx &ctx, ThreadId tid, ThreadId idx,
                 const MemOp &op, OpResult &res);

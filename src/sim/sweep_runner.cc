@@ -21,6 +21,7 @@ SweepRunner::SweepRunner(unsigned threads) : threads_(threads)
 void
 SweepRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
+    stop_.store(false);
     if (n == 0)
         return;
     if (threads_ <= 1 || n <= 1) {
@@ -36,7 +37,7 @@ SweepRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
     auto worker = [&]() {
         for (;;) {
             const std::size_t i = next.fetch_add(1);
-            if (i >= n)
+            if (i >= n || stop_.load())
                 return;
             try {
                 fn(i);
@@ -44,8 +45,8 @@ SweepRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
                 std::lock_guard<std::mutex> guard(errorLock);
                 if (!error)
                     error = std::current_exception();
-                // Drain the remaining indices so siblings stop early.
-                next.store(n);
+                // Siblings see the flag before their next job starts.
+                stop_.store(true);
                 return;
             }
         }

@@ -16,12 +16,13 @@
  * Worker functions must be shared-nothing: capture configuration by
  * value and touch no shared mutable state. The first exception thrown
  * by any worker is captured and rethrown on the calling thread after
- * the pool drains.
+ * the pool drains; no job starts once it has been captured.
  */
 
 #ifndef WB_SIM_SWEEP_RUNNER_HH
 #define WB_SIM_SWEEP_RUNNER_HH
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -46,9 +47,17 @@ class SweepRunner
      * when all jobs finished. Serial (no threads spawned) when the
      * pool has one worker or there is at most one job. If any job
      * throws, the first captured exception is rethrown here after all
-     * workers stop picking up new work.
+     * workers stop picking up new work. One run() at a time per
+     * runner.
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &fn);
+
+    /**
+     * True once a job of the current (or last) threaded run() has
+     * thrown: from then on no further job starts. Long-running jobs
+     * may poll it to give up early.
+     */
+    bool stopping() const { return stop_.load(); }
 
     /**
      * run() collecting each job's return value; results come back
@@ -66,6 +75,7 @@ class SweepRunner
 
   private:
     unsigned threads_;
+    std::atomic<bool> stop_{false};
 };
 
 } // namespace wb::sim

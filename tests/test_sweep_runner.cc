@@ -81,13 +81,21 @@ TEST(SweepRunner, FirstExceptionPropagatesToCaller)
             started.fetch_add(1);
             if (i == 3)
                 throw std::runtime_error("cell 3 exploded");
+            // Every other cell holds its worker until the failure is
+            // recorded, so each worker starts at most one cell whatever
+            // the host's thread scheduling does.
+            while (!pool.stopping())
+                std::this_thread::yield();
         });
         FAIL() << "expected the worker exception to be rethrown";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "cell 3 exploded");
     }
-    // The throw drains the work-list: most cells never started.
+    EXPECT_TRUE(pool.stopping());
+    // The throw drains the work-list: no cell starts after the failure
+    // is recorded, so at most one cell per worker ever ran.
     EXPECT_LT(started.load(), 1000u);
+    EXPECT_LE(started.load(), 4u);
 }
 
 /** Serialize one sweep cell the way the example sweeps do. */
