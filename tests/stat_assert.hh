@@ -125,6 +125,8 @@ class ProportionSweep
  * concurrency) and pooled in seed order, so the sweep's totals are
  * identical at any thread count. @p fn must be shared-nothing:
  * capture configs by value and build the whole simulation inside.
+ * Each run calls its own copy of @p fn, so a `mutable` lambda that
+ * sets the seed on its captured config races with no other run.
  */
 template <typename Fn>
 ProportionSweep
@@ -132,8 +134,10 @@ sweepSeeds(Fn &&fn, unsigned n = ProportionSweep::kMinRuns,
            std::uint64_t base = 1)
 {
     wb::sim::SweepRunner pool;
-    const auto results = pool.map<Proportion>(
-        n, [&](std::size_t i) { return fn(base + i); });
+    const auto results = pool.map<Proportion>(n, [&](std::size_t i) {
+        auto run = fn;
+        return run(base + i);
+    });
     ProportionSweep sweep;
     for (const Proportion &p : results)
         sweep.add(p);
