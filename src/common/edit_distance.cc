@@ -31,34 +31,44 @@ editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
 {
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
-    // Full DP table for backtrace; sequences in this project are short
-    // (hundreds of bits), so O(n*m) memory is fine.
-    std::vector<std::vector<std::size_t>> d(n + 1,
-        std::vector<std::size_t>(m + 1, 0));
-    for (std::size_t i = 0; i <= n; ++i)
-        d[i][0] = i;
+    const std::size_t w = m + 1; // row stride of the flat table
+    // One flat (n+1) x (m+1) table for the backtrace, and the bits
+    // unpacked to bytes: the DP loop then reads plain arrays instead
+    // of allocating a vector per row and decoding vector<bool> words
+    // per cell. Sequences here are hundreds of bits, so O(n*m) memory
+    // is fine.
+    const std::vector<unsigned char> a(sent.begin(), sent.end());
+    const std::vector<unsigned char> b(received.begin(), received.end());
+    std::vector<std::size_t> d((n + 1) * w);
     for (std::size_t j = 0; j <= m; ++j)
-        d[0][j] = j;
+        d[j] = j;
     for (std::size_t i = 1; i <= n; ++i) {
+        const std::size_t *up = &d[(i - 1) * w];
+        std::size_t *row = &d[i * w];
+        row[0] = i;
         for (std::size_t j = 1; j <= m; ++j) {
-            const std::size_t sub =
-                d[i - 1][j - 1] + (sent[i - 1] == received[j - 1] ? 0 : 1);
-            d[i][j] = std::min({sub, d[i - 1][j] + 1, d[i][j - 1] + 1});
+            const std::size_t sub = up[j - 1] + (a[i - 1] != b[j - 1]);
+            row[j] = std::min({sub, up[j] + 1, row[j - 1] + 1});
         }
     }
 
+    // Backtrace from the corner; ties resolve substitution (or match)
+    // first, then deletion, then insertion.
     EditBreakdown out;
-    out.distance = d[n][m];
+    out.distance = d[n * w + m];
     std::size_t i = n, j = m;
     while (i > 0 || j > 0) {
-        if (i > 0 && j > 0 &&
-            d[i][j] == d[i - 1][j - 1] +
-                (sent[i - 1] == received[j - 1] ? 0 : 1)) {
-            if (sent[i - 1] != received[j - 1])
-                ++out.substitutions;
-            --i;
-            --j;
-        } else if (i > 0 && d[i][j] == d[i - 1][j] + 1) {
+        const std::size_t here = d[i * w + j];
+        if (i > 0 && j > 0) {
+            const bool differ = a[i - 1] != b[j - 1];
+            if (here == d[(i - 1) * w + (j - 1)] + differ) {
+                out.substitutions += differ;
+                --i;
+                --j;
+                continue;
+            }
+        }
+        if (i > 0 && here == d[(i - 1) * w + j] + 1) {
             ++out.deletions;
             --i;
         } else {

@@ -83,11 +83,14 @@ class Rng
     std::uint64_t
     below(std::uint64_t bound)
     {
-        // Debiased via rejection sampling on the top of the range.
-        const std::uint64_t threshold = -bound % bound;
+        // Debiased via rejection sampling: draws below the threshold
+        // -bound % bound are rejected. The threshold is below bound,
+        // so any r >= bound passes without computing it — which spares
+        // one 64-bit division per draw for the small bounds of the
+        // pointer-chase and burst-order shuffles.
         for (;;) {
-            std::uint64_t r = next();
-            if (r >= threshold)
+            const std::uint64_t r = next();
+            if (r >= bound || r >= -bound % bound)
                 return r % bound;
         }
     }

@@ -15,7 +15,6 @@
 #ifndef WB_SIM_HIERARCHY_HH
 #define WB_SIM_HIERARCHY_HH
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,6 +109,24 @@ struct LatencyModel
      */
     double noiseSigma = 0.6;
 };
+
+/**
+ * Round a noise sample @p n to whole cycles, clamped at zero: equal to
+ * std::lround(std::max(n, 0.0)) for every non-NaN |n| < 2^63. Both
+ * noise() helpers charge this once per access. It stays branch-free
+ * and out of libm: the sample's sign is a coin flip, so a sign test
+ * mispredicts every other access, and lround is a library call. The
+ * fraction n - t is exact (t and n share a binade or t is 0), which is
+ * why the 0.5 compare is exact too; int64(n + 0.5) is not, and rounds
+ * 0.49999999999999994 up (tests/test_hierarchy.cc pins the helper).
+ */
+inline Cycles
+roundNoise(double n)
+{
+    const auto t = static_cast<std::int64_t>(n);
+    const std::int64_t r = t + (n - static_cast<double>(t) >= 0.5);
+    return r > 0 ? static_cast<Cycles>(r) : 0;
+}
 
 /** Per-thread (and global) demand-access counters, perf-style. */
 struct PerfCounters
@@ -432,18 +449,17 @@ class Hierarchy final : public MemorySystem
   private:
     /**
      * Gaussian measurement noise (>= 0), 0 when rng or sigma absent.
-     * Inline, drawing from the Rng's precomputed deviate block, so the
-     * batched access loop never leaves straight-line code for noise.
+     * Inline, drawing from the Rng's precomputed deviate block and
+     * rounding through the branch-free roundNoise(), so the batched
+     * access loop leaves straight-line code for noise only to refill
+     * the block.
      */
     Cycles
     noise()
     {
         if (rng_ == nullptr || params_.lat.noiseSigma <= 0.0)
             return 0;
-        const double n = params_.lat.noiseSigma * rng_->gaussianCached();
-        // max() instead of a sign test: the deviate's sign is a coin
-        // flip, so a branch here mispredicts every other access.
-        return static_cast<Cycles>(std::lround(std::max(n, 0.0)));
+        return roundNoise(params_.lat.noiseSigma * rng_->gaussianCached());
     }
 
     /**

@@ -525,7 +525,7 @@ MultiCoreSystem::missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
     return res;
 }
 
-AccessResult
+inline AccessResult
 MultiCoreSystem::accessOne(Core &c, unsigned core, ThreadId tid, Addr paddr,
                            bool isWrite, PerfCounters &ctr)
 {

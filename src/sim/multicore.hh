@@ -41,7 +41,6 @@
 #ifndef WB_SIM_MULTICORE_HH
 #define WB_SIM_MULTICORE_HH
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -317,18 +316,30 @@ class MultiCoreSystem
     {
         if (rng_ == nullptr || params_.lat.noiseSigma <= 0.0)
             return 0;
-        const double n = params_.lat.noiseSigma * rng_->gaussianCached();
-        return n > 0.0 ? static_cast<Cycles>(std::lround(n)) : 0;
+        return roundNoise(params_.lat.noiseSigma * rng_->gaussianCached());
     }
 
     /**
      * One demand access: the single body shared by access() and the
      * accessBatch() loops (bit-exact batched-vs-scalar execution).
+     * Force-inlined like Hierarchy::accessOne, so an L1 hit — nearly
+     * every co-runner burst access — retires inside the batch loop;
+     * misses leave through the out-of-line missPath().
      */
-    AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
-                           Addr paddr, bool isWrite, PerfCounters &ctr);
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    inline AccessResult accessOne(Core &c, unsigned core, ThreadId tid,
+                                  Addr paddr, bool isWrite,
+                                  PerfCounters &ctr);
 
-    /** The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence. */
+    /**
+     * The L1-miss path: L2 -> snoop -> LLC -> DRAM, fills, coherence.
+     * Kept out of line so its body does not bloat the inlined hit path.
+     */
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((noinline))
+#endif
     AccessResult missPath(Core &c, unsigned core, ThreadId tid, Addr paddr,
                           bool isWrite, PerfCounters &ctr);
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bitvec.hh"
 #include "common/edit_distance.hh"
 #include "common/rng.hh"
@@ -19,6 +21,70 @@ BitVec
 bits(const std::string &s)
 {
     return fromBitString(s);
+}
+
+/**
+ * Reference editBreakdown: the straightforward per-row-vector DP over
+ * vector<bool> the flat-table implementation replaced. Same
+ * recurrence, same backtrace tie order (substitution/match, then
+ * deletion, then insertion); kept here to pin the rewrite.
+ */
+EditBreakdown
+referenceBreakdown(const std::vector<bool> &sent,
+                   const std::vector<bool> &received)
+{
+    const std::size_t n = sent.size();
+    const std::size_t m = received.size();
+    std::vector<std::vector<std::size_t>> d(n + 1,
+        std::vector<std::size_t>(m + 1, 0));
+    for (std::size_t i = 0; i <= n; ++i)
+        d[i][0] = i;
+    for (std::size_t j = 0; j <= m; ++j)
+        d[0][j] = j;
+    for (std::size_t i = 1; i <= n; ++i) {
+        for (std::size_t j = 1; j <= m; ++j) {
+            const std::size_t sub =
+                d[i - 1][j - 1] + (sent[i - 1] == received[j - 1] ? 0 : 1);
+            d[i][j] = std::min({sub, d[i - 1][j] + 1, d[i][j - 1] + 1});
+        }
+    }
+
+    EditBreakdown out;
+    out.distance = d[n][m];
+    std::size_t i = n, j = m;
+    while (i > 0 || j > 0) {
+        if (i > 0 && j > 0 &&
+            d[i][j] == d[i - 1][j - 1] +
+                (sent[i - 1] == received[j - 1] ? 0 : 1)) {
+            if (sent[i - 1] != received[j - 1])
+                ++out.substitutions;
+            --i;
+            --j;
+        } else if (i > 0 && d[i][j] == d[i - 1][j] + 1) {
+            ++out.deletions;
+            --i;
+        } else {
+            ++out.insertions;
+            --j;
+        }
+    }
+    return out;
+}
+
+/** Every field of editBreakdown() equals the reference's. */
+void
+expectMatchesReference(const BitVec &a, const BitVec &b)
+{
+    const EditBreakdown got = editBreakdown(a, b);
+    const EditBreakdown want = referenceBreakdown(a, b);
+    EXPECT_EQ(got.distance, want.distance)
+        << "|sent|=" << a.size() << " |received|=" << b.size();
+    EXPECT_EQ(got.substitutions, want.substitutions)
+        << "|sent|=" << a.size() << " |received|=" << b.size();
+    EXPECT_EQ(got.insertions, want.insertions)
+        << "|sent|=" << a.size() << " |received|=" << b.size();
+    EXPECT_EQ(got.deletions, want.deletions)
+        << "|sent|=" << a.size() << " |received|=" << b.size();
 }
 
 TEST(EditDistance, IdenticalIsZero)
@@ -103,6 +169,52 @@ TEST(EditBreakdown, LengthDeltaShowsUp)
     const auto br = editBreakdown(bits("1111"), bits("111111"));
     EXPECT_EQ(br.insertions, 2u);
     EXPECT_EQ(br.deletions, 0u);
+}
+
+TEST(EditBreakdown, MatchesReferenceOnIndependentPairs)
+{
+    // Unrelated sequences: long runs of tied DP cells, so the
+    // backtrace's tie order decides most of the breakdown.
+    Rng rng(11);
+    for (int iter = 0; iter < 300; ++iter) {
+        const BitVec a = randomBits(rng.below(201), rng);
+        const BitVec b = randomBits(rng.below(201), rng);
+        expectMatchesReference(a, b);
+    }
+}
+
+TEST(EditBreakdown, MatchesReferenceOnNoisyCopies)
+{
+    // Received = sent through a channel that flips, drops and inserts
+    // bits, the shape decode() scores.
+    Rng rng(13);
+    for (int iter = 0; iter < 300; ++iter) {
+        const BitVec a = randomBits(rng.below(201), rng);
+        BitVec b;
+        for (const bool bit : a) {
+            const std::uint64_t roll = rng.below(100);
+            if (roll < 4)
+                continue; // lost bit
+            b.push_back(roll < 10 ? !bit : bit);
+            if (roll >= 96)
+                b.push_back(rng.flip()); // spurious bit
+        }
+        if (b.size() > 200)
+            b.resize(200);
+        expectMatchesReference(a, b);
+    }
+}
+
+TEST(EditBreakdown, MatchesReferenceAtEmptyEdges)
+{
+    Rng rng(17);
+    expectMatchesReference({}, {});
+    for (const std::size_t len : {1u, 2u, 7u, 200u}) {
+        const BitVec a = randomBits(len, rng);
+        expectMatchesReference(a, {});
+        expectMatchesReference({}, a);
+        expectMatchesReference(a, a);
+    }
 }
 
 TEST(BitErrorRate, Values)

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/rng.hh"
 #include "sim/hierarchy.hh"
 
@@ -34,6 +38,67 @@ Addr
 setLine(const Hierarchy &h, unsigned set, Addr tag)
 {
     return const_cast<Hierarchy &>(h).l1().layout().compose(set, tag);
+}
+
+/** The rounding roundNoise() replaced, kept as its reference. */
+Cycles
+referenceRoundNoise(double n)
+{
+    return static_cast<Cycles>(std::lround(std::max(n, 0.0)));
+}
+
+TEST(RoundNoise, MatchesLroundAtEdges)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(roundNoise(0.0), 0u);
+    EXPECT_EQ(roundNoise(-0.0), 0u);
+    // The largest double below 0.5: int64(n + 0.5) rounds it up to 1.
+    EXPECT_EQ(roundNoise(0.49999999999999994), 0u);
+    EXPECT_EQ(roundNoise(std::nextafter(0.5, 0.0)), 0u);
+    EXPECT_EQ(roundNoise(0.5), 1u);
+    EXPECT_EQ(roundNoise(-0.5), 0u);
+    EXPECT_EQ(roundNoise(std::numeric_limits<double>::denorm_min()), 0u);
+
+    // Every half-integer up to 1e5, its neighbouring doubles, the
+    // integers themselves, and all of their negatives.
+    std::size_t mismatches = 0;
+    auto check = [&](double n) {
+        if (roundNoise(n) != referenceRoundNoise(n) && ++mismatches <= 5)
+            ADD_FAILURE() << "n = " << n << ": " << roundNoise(n)
+                          << " != " << referenceRoundNoise(n);
+    };
+    for (int k = 0; k <= 100000; ++k) {
+        const double half = k + 0.5;
+        for (const double n : {half, std::nextafter(half, -inf),
+                               std::nextafter(half, inf), double(k)}) {
+            check(n);
+            check(-n);
+        }
+    }
+    // Large magnitudes, up to where every double is an integer.
+    for (const double n : {0x1p52 - 0.5, 0x1p52, 0x1p52 + 1.0, 0x1p53,
+                           1e18, 0x1p62}) {
+        check(n);
+        check(-n);
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RoundNoise, MatchesLroundOnNoiseDraws)
+{
+    // The values noise() actually rounds: sigma x a cached deviate, at
+    // the presets' 0.6 and at wider sigmas that reach many integers.
+    Rng rng(20260);
+    std::size_t mismatches = 0;
+    for (const double sigma : {0.6, 3.7, 25.0}) {
+        for (int i = 0; i < 3400000; ++i) {
+            const double n = sigma * rng.gaussianCached();
+            if (roundNoise(n) != referenceRoundNoise(n) &&
+                ++mismatches <= 5)
+                ADD_FAILURE() << "sigma " << sigma << " n = " << n;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Hierarchy, Geometry)
