@@ -32,11 +32,11 @@ editBreakdown(const std::vector<bool> &sent, const std::vector<bool> &received)
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
     const std::size_t w = m + 1; // row stride of the flat table
-    // One flat (n+1) x (m+1) table for the backtrace, and the bits
-    // unpacked to bytes: the DP loop then reads plain arrays instead
-    // of allocating a vector per row and decoding vector<bool> words
-    // per cell. Sequences here are hundreds of bits, so O(n*m) memory
-    // is fine.
+    // Decode scores every frame through here, so the DP runs over one
+    // flat (n+1) x (m+1) table (kept whole for the backtrace) and the
+    // bits unpacked to bytes: one allocation per call and plain array
+    // reads per cell. Sequences here are hundreds of bits, so O(n*m)
+    // memory is fine.
     const std::vector<unsigned char> a(sent.begin(), sent.end());
     const std::vector<unsigned char> b(received.begin(), received.end());
     std::vector<std::size_t> d((n + 1) * w);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/bitvec.hh"
 #include "common/edit_distance.hh"
@@ -75,16 +76,14 @@ referenceBreakdown(const std::vector<bool> &sent,
 void
 expectMatchesReference(const BitVec &a, const BitVec &b)
 {
+    SCOPED_TRACE("|sent|=" + std::to_string(a.size()) +
+                 " |received|=" + std::to_string(b.size()));
     const EditBreakdown got = editBreakdown(a, b);
     const EditBreakdown want = referenceBreakdown(a, b);
-    EXPECT_EQ(got.distance, want.distance)
-        << "|sent|=" << a.size() << " |received|=" << b.size();
-    EXPECT_EQ(got.substitutions, want.substitutions)
-        << "|sent|=" << a.size() << " |received|=" << b.size();
-    EXPECT_EQ(got.insertions, want.insertions)
-        << "|sent|=" << a.size() << " |received|=" << b.size();
-    EXPECT_EQ(got.deletions, want.deletions)
-        << "|sent|=" << a.size() << " |received|=" << b.size();
+    EXPECT_EQ(got.distance, want.distance);
+    EXPECT_EQ(got.substitutions, want.substitutions);
+    EXPECT_EQ(got.insertions, want.insertions);
+    EXPECT_EQ(got.deletions, want.deletions);
 }
 
 TEST(EditDistance, IdenticalIsZero)
