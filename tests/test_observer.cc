@@ -1,9 +1,11 @@
 /**
  * @file
  * Degraded-observer tests (sim/observer.hh, chan/degraded.hh): the
- * cycle-accurate path's bit-exact equivalence pin, the observer choke
- * point's quantization guarantees, the pending-write-back flush model,
- * and the three observer classes' end-to-end channel behaviour.
+ * cycle-accurate path's bit-exact equivalence pin, the runner pins
+ * (transport links, repetition decoder, L2/multi-set channels and the
+ * Prime+Probe baselines), the observer choke point's quantization
+ * guarantees, the pending-write-back flush model, and the three
+ * observer classes' end-to-end channel behaviour.
  *
  * Every BER claim is a pooled multi-seed statistical assertion
  * (tests/stat_assert.hh): the Wilson bound of the error proportion
@@ -17,9 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "baselines/flush_channels.hh"
+#include "baselines/prime_probe.hh"
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
 #include "chan/degraded.hh"
+#include "chan/l2_channel.hh"
+#include "chan/multiset.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
 #include "sim/smt_core.hh"
@@ -209,6 +214,236 @@ TEST(ObserverEquivalence, DefaultPlanIsIdentity)
     EXPECT_EQ(plan.cfg.calibration.measurements,
               cfg.calibration.measurements);
     EXPECT_EQ(plan.cfg.platform.lat.flushWbDrainExtra, 0u);
+}
+
+// ------------------------------------------------------------------
+// Runner pins: every channel runner the pins above never reach — the
+// transport link on both topologies, the coarse-timer repetition
+// decoder, transmitString, the L2 and multi-set channels and the
+// Prime+Probe baselines. They guard the runner scaffolding (frame
+// repetition, raw run, decode-and-score, link binding): any drift in
+// RNG split order, operation order or result assembly trips them.
+// ------------------------------------------------------------------
+
+/** The scalar TransportResult fields a transport pin records. */
+void
+expectTransport(const TransportResult &t, unsigned framesTotal,
+                unsigned framesDelivered, std::uint64_t framesSent,
+                unsigned rounds, unsigned finalRateLevel,
+                unsigned syncLosses, unsigned resyncs,
+                std::uint64_t fecCorrectedBits, Cycles simulatedCycles)
+{
+    EXPECT_EQ(t.framesTotal, framesTotal);
+    EXPECT_EQ(t.framesDelivered, framesDelivered);
+    EXPECT_EQ(t.framesFailed, framesTotal - framesDelivered);
+    EXPECT_EQ(t.framesSent, framesSent);
+    EXPECT_EQ(t.retransmissions, framesSent - framesTotal);
+    EXPECT_EQ(t.payloadBitsTotal, 48u * framesTotal);
+    EXPECT_EQ(t.payloadBitsDelivered, 48u * framesDelivered);
+    EXPECT_EQ(t.residualBitErrors, 0u);
+    EXPECT_EQ(t.residualBer, 0.0);
+    EXPECT_EQ(t.rounds, rounds);
+    EXPECT_EQ(t.finalRateLevel, finalRateLevel);
+    EXPECT_EQ(t.syncLosses, syncLosses);
+    EXPECT_EQ(t.resyncs, resyncs);
+    EXPECT_EQ(t.fecCorrectedBits, fecCorrectedBits);
+    EXPECT_EQ(t.simulatedCycles, simulatedCycles);
+}
+
+TEST(RunnerPins, SingleCoreTransportBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.usePlatform("desktop-inclusive");
+    cfg.noiseProcesses = 2;
+    cfg.transport.enabled = true;
+    cfg.transport.messageFrames = 6;
+    cfg.seed = 1;
+    const TransportResult t = runTransport(cfg);
+    expectTransport(t, 6, 6, 7, 2, 0, 2, 1, 1, 5880106);
+    EXPECT_DOUBLE_EQ(t.goodputKbps, 107.75315955188563);
+    EXPECT_DOUBLE_EQ(t.rawRateKbps, 400.0);
+    EXPECT_EQ(t.rateLevelByRound, (std::vector<unsigned>{0, 0}));
+    ASSERT_EQ(t.ferByRound.size(), 2u);
+    EXPECT_DOUBLE_EQ(t.ferByRound[0], 0.16666666666666663);
+    EXPECT_EQ(t.ferByRound[1], 0.0);
+}
+
+TEST(RunnerPins, CoarseTimerTransportBitIdentical)
+{
+    // The link's repetition branch: the plan sizes R per burst and
+    // the receiver's R-sample blocks decode against mean centroids.
+    ChannelConfig cfg;
+    cfg.noise.observer = sim::ObserverModel::sandboxTimer(512);
+    cfg.protocol.encoding = Encoding::binary(8);
+    cfg.transport.enabled = true;
+    cfg.transport.messageFrames = 2;
+    cfg.seed = 17;
+    const TransportResult t = runTransport(cfg);
+    expectTransport(t, 2, 2, 2, 1, 0, 0, 0, 3, 353907760);
+    EXPECT_DOUBLE_EQ(t.goodputKbps, 0.59676566572035616);
+    EXPECT_DOUBLE_EQ(t.rawRateKbps, 400.0);
+    EXPECT_EQ(t.rateLevelByRound, (std::vector<unsigned>{0}));
+    EXPECT_EQ(t.ferByRound, (std::vector<double>{0.0}));
+}
+
+TEST(RunnerPins, CrossCoreTransportBitIdentical)
+{
+    // Four co-runners on a 4-core socket: the first three rounds fail
+    // outright and the controller walks the ladder down to rung 3.
+    CrossCoreChannelConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.scheduler = sim::platform(cfg.platformName).noisePreset;
+    cfg.scheduler.coRunners = sim::SchedulerConfig::mixOf(4);
+    cfg.transport.enabled = true;
+    cfg.transport.messageFrames = 1;
+    cfg.seed = 3;
+    const TransportResult t = runCrossCoreTransport(cfg);
+    expectTransport(t, 1, 1, 4, 4, 3, 1, 0, 1, 56416177);
+    EXPECT_DOUBLE_EQ(t.goodputKbps, 1.8718035431574886);
+    EXPECT_DOUBLE_EQ(t.rawRateKbps, 22.916666666666668);
+    EXPECT_EQ(t.rateLevelByRound, (std::vector<unsigned>{0, 1, 2, 3}));
+    EXPECT_EQ(t.ferByRound, (std::vector<double>{1.0, 1.0, 1.0, 0.0}));
+    EXPECT_EQ(t.schedulerStats.contextSwitches, 1010u);
+    EXPECT_EQ(t.schedulerStats.migrations, 0u);
+    EXPECT_EQ(t.schedulerStats.coRunnerAccesses, 8106560u);
+}
+
+TEST(RunnerPins, CoarseTimerRepetitionChannelBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.noise.observer = sim::ObserverModel::sandboxTimer(512);
+    cfg.protocol.encoding = Encoding::binary(8);
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 2;
+    cfg.protocol.repetitionOverride = 4;
+    cfg.seed = 23;
+    const ChannelResult r = runChannel(cfg);
+    EXPECT_EQ(r.repetition, 4u);
+    EXPECT_DOUBLE_EQ(r.ber, 0.4375);
+    EXPECT_EQ(r.framesScored, 1u);
+    EXPECT_EQ(r.framesExpected, 2u);
+    EXPECT_DOUBLE_EQ(r.rateKbps, 97.65625);
+    EXPECT_DOUBLE_EQ(r.goodputKbps, 54.931640625);
+    EXPECT_EQ(r.simulatedCycles, 1750017u);
+    EXPECT_EQ(r.latencies.size(), 309u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 3693365815082375742ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 256, 896, 897, 0, 0, 205343);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 3440, 0, 3131, 896, 0, 228353);
+    }
+}
+
+TEST(RunnerPins, TransmitStringBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.seed = 29;
+    ChannelResult r;
+    EXPECT_EQ(transmitString(cfg, "pin", &r), "pin");
+    EXPECT_EQ(r.ber, 0.0);
+    EXPECT_EQ(r.sentFrame.size(), 40u);
+    EXPECT_EQ(r.simulatedCycles, 511751u);
+    EXPECT_EQ(r.latencies.size(), 91u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 1502461022423890319ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 40, 20, 21, 0, 0, 31501);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 1042, 0, 951, 20, 0, 70187);
+    }
+}
+
+TEST(RunnerPins, L2ChannelBitIdentical)
+{
+    L2ChannelConfig cfg;
+    cfg.frames = 3;
+    cfg.seed = 31;
+    const L2ChannelResult r = runL2Channel(cfg);
+    EXPECT_EQ(r.ber, 0.0);
+    EXPECT_EQ(r.framesScored, 3u);
+    EXPECT_DOUBLE_EQ(r.rateKbps, 73.333333333333329);
+    EXPECT_EQ(r.simulatedCycles, 12428279u);
+    EXPECT_EQ(r.latencies.size(), 412u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 18401471614975164297ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 8566, 816, 8977, 816, 0, 1725708);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 5429, 0, 5017, 0, 0, 1743101);
+    }
+}
+
+TEST(RunnerPins, MultiSetChannelBitIdentical)
+{
+    MultiSetConfig cfg;
+    cfg.frames = 3;
+    cfg.seed = 37;
+    const ChannelResult r = runMultiSetChannel(cfg);
+    EXPECT_DOUBLE_EQ(r.ber, 0.047619047619047616);
+    EXPECT_EQ(r.framesScored, 3u);
+    EXPECT_DOUBLE_EQ(r.rateKbps, 1600.0);
+    EXPECT_DOUBLE_EQ(r.goodputKbps, 1523.8095238095236);
+    EXPECT_EQ(r.simulatedCycles, 944998u);
+    EXPECT_EQ(r.latencies.size(), 672u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 10988662320355209579ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 96, 804, 805, 0, 0, 76272);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 7048, 0, 6881, 804, 0, 114595);
+    }
+}
+
+TEST(RunnerPins, PrimeProbeBaselineBitIdentical)
+{
+    // runPrimeProbeChannel drives the shared runBaseline harness.
+    baselines::BaselineConfig cfg;
+    cfg.frames = 3;
+    cfg.seed = 41;
+    const baselines::BaselineResult r = baselines::runPrimeProbeChannel(cfg);
+    EXPECT_EQ(r.ber, 0.0);
+    EXPECT_EQ(r.framesScored, 2u);
+    EXPECT_EQ(r.latencies.size(), 438u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 16111788933320707505ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 840, 0, 457, 0, 0, 301718);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 3959, 0, 469, 0, 0, 339063);
+    }
+}
+
+TEST(RunnerPins, CrossCorePrimeProbeBitIdentical)
+{
+    baselines::BaselineConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.frames = 3;
+    cfg.seed = 43;
+    const baselines::BaselineResult r =
+        baselines::runCrossCorePrimeProbe(cfg);
+    EXPECT_DOUBLE_EQ(r.ber, 0.058035714285714288);
+    EXPECT_EQ(r.framesScored, 2u);
+    EXPECT_EQ(r.latencies.size(), 437u);
+    EXPECT_EQ(fnvLatencies(r.latencies), 5251911084350590686ull);
+    {
+        SCOPED_TRACE("sender");
+        expectCounters(r.senderCounters, 744, 0, 361, 0, 0, 291694);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        expectCounters(r.receiverCounters, 14454, 0, 14017, 0, 0, 186429);
+    }
 }
 
 // ------------------------------------------------------------------
