@@ -14,10 +14,7 @@ runBaseline(const BaselineConfig &cfg, const PartsFactory &factory)
     Rng runRng = rootRng.split();
 
     const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    allBits.reserve(static_cast<std::size_t>(cfg.frameBits) * cfg.frames);
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    const BitVec allBits = chan::repeatFrame(frame, cfg.frames);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);

@@ -221,10 +221,7 @@ runCrossCorePrimeProbe(const BaselineConfig &cfg, unsigned linesPerOne,
     Rng runRng = rootRng.split();
 
     const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    allBits.reserve(static_cast<std::size_t>(cfg.frameBits) * cfg.frames);
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    const BitVec allBits = chan::repeatFrame(frame, cfg.frames);
 
     const sim::AddressLayout llcLayout(cfg.platform.llc.numSets());
     const unsigned ways = cfg.platform.llc.ways;

@@ -1,5 +1,6 @@
 #include "chan/channel.hh"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 
@@ -17,28 +18,6 @@ namespace wb::chan
 
 namespace
 {
-
-/**
- * One physical pass through the simulated platform: everything below
- * the bit level. Both the legacy single-shot path and the transport
- * link run through here, so the two stay in lockstep — same RNG
- * splits, same calibration, same thread wiring.
- */
-struct RawRun
-{
-    std::vector<double> latencies;      //!< receiver raw observations
-    Cycles simulatedCycles = 0;
-    sim::PerfCounters senderCounters;
-    sim::PerfCounters receiverCounters;
-    ThreadId senderTid = 0;
-    ThreadId receiverTid = 0;
-    sim::SchedulerStats schedulerStats;
-    Calibration calibration;
-
-    /** Eviction-only observer: both discovered sets verified minimal
-     *  (true whenever no discovery ran). */
-    bool discoveryVerified = true;
-};
 
 /** Run the platform once, modulating the per-slot levels @p dSeq. */
 RawRun
@@ -172,120 +151,29 @@ runWithFrame(const ChannelConfig &userCfg, const BitVec &frame)
     // repetition factor, flush-probe calibration, drain penalty.
     const DegradedPlan plan = planDegraded(userCfg);
     const ChannelConfig &cfg = plan.cfg;
-    const unsigned rep = plan.repetition;
-
     const ProtocolConfig &proto = cfg.protocol;
-    const Encoding &enc = proto.encoding;
-    if (frame.size() % enc.bitsPerSymbol() != 0)
-        fatalf("runChannel: frame bits ", frame.size(),
-               " not divisible by bits/symbol ", enc.bitsPerSymbol());
 
-    // --- Per-slot dirty-line levels for all frame repetitions; a
-    // coarse-timer plan repeats every symbol rep times so the decoder
-    // can average each block back into one symbol. ---
-    const auto frameLevels = frameToLevels(frame, enc);
-    std::vector<unsigned> dSeq;
-    dSeq.reserve(frameLevels.size() * proto.frames * rep);
-    for (unsigned f = 0; f < proto.frames; ++f) {
-        for (const unsigned lvl : frameLevels)
-            dSeq.insert(dSeq.end(), rep, lvl);
-    }
-
-    RawRun raw = runRawSequence(cfg, dSeq);
-
-    // --- Decode ---
-    ChannelResult res;
-    res.latencies = std::move(raw.latencies);
-    DecodeResult dec;
-    if (rep > 1) {
-        // Repetition decoding: block means against mean centroids
-        // (the dithered samples' median is a point mass; their mean
-        // is the unbiased true latency — chan/degraded.hh).
-        const std::vector<double> blocks =
-            collapseRepetition(res.latencies, rep);
-        dec = decodeTransmission(blocks,
-                                 raw.calibration.meanClassifierFor(enc),
-                                 enc, frame, proto.frames);
-    } else {
-        dec = decodeTransmission(res.latencies,
-                                 raw.calibration.classifierFor(enc), enc,
-                                 frame, proto.frames);
-    }
-    res.repetition = rep;
-    res.evictionDiscoveryVerified = raw.discoveryVerified;
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    // Goodput honesty: repetition amplification spends rep slots per
-    // symbol, so the effective rate divides by it (docs/OBSERVERS.md).
-    res.rateKbps = proto.rateKbps() / double(rep);
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
-    res.calibrationMedians = raw.calibration.medianByD;
-    res.senderCounters = raw.senderCounters;
-    res.receiverCounters = raw.receiverCounters;
-    res.senderTid = raw.senderTid;
-    res.receiverTid = raw.receiverTid;
-    res.simulatedCycles = raw.simulatedCycles;
-    res.schedulerStats = raw.schedulerStats;
-    return res;
+    // A coarse-timer plan holds every symbol for R slots so the
+    // decoder can average each block back into one symbol.
+    const std::vector<unsigned> frameLevels =
+        frameToLevels(frame, proto.encoding, plan.repetition);
+    const std::vector<unsigned> dSeq = repeatFrame(frameLevels, proto.frames);
+    return scoreRawRun(runRawSequence(cfg, dSeq), frame, proto,
+                       plan.repetition);
 }
 
 /**
- * Bind one transport burst to the single-core platform: reconfigure
- * protocol pacing/encoding for the rate rung, modulate the frame
- * stream once (no repetitions — the ARQ layer owns redundancy), and
- * hand back the receiver's classified bit stream.
+ * The classifier a run's calibration gives for R-sample blocks: mean
+ * centroids for R > 1 (the dithered samples' median is a point mass;
+ * their mean is the unbiased true latency — chan/degraded.hh),
+ * medians otherwise.
  */
-LinkRun
-channelLinkRun(const ChannelConfig &base, const BitVec &stream,
-               const RateStep &rate, std::uint64_t seed)
+Classifier
+blockClassifier(const Calibration &cal, const Encoding &enc,
+                unsigned repetition)
 {
-    ChannelConfig cfg = base;
-    cfg.seed = seed;
-    // The ladder only widens Ts by powers of two, so the Tr:Ts ratio
-    // survives the integer arithmetic exactly.
-    cfg.protocol.tr =
-        base.protocol.tr * (rate.ts / base.protocol.ts);
-    cfg.protocol.ts = rate.ts;
-    cfg.protocol.encoding = rate.encoding;
-
-    // Observer adjustments apply per burst, after the rung reshaped
-    // the pacing (a coarse plan re-aligns the rung's Ts/Tr to the
-    // granule and repeats each symbol R times).
-    const DegradedPlan plan = planDegraded(cfg);
-    cfg = plan.cfg;
-    const unsigned rep = plan.repetition;
-    const Encoding &enc = cfg.protocol.encoding;
-
-    BitVec padded = stream;
-    while (padded.size() % enc.bitsPerSymbol() != 0)
-        padded.push_back(false);
-
-    const std::vector<unsigned> symbolLevels = frameToLevels(padded, enc);
-    std::vector<unsigned> dSeq;
-    dSeq.reserve(symbolLevels.size() * rep);
-    for (const unsigned lvl : symbolLevels)
-        dSeq.insert(dSeq.end(), rep, lvl);
-    RawRun raw = runRawSequence(cfg, dSeq);
-
-    LinkRun run;
-    if (rep > 1) {
-        run.bits = symbolsToBits(
-            classifyAll(collapseRepetition(raw.latencies, rep),
-                        raw.calibration.meanClassifierFor(enc)),
-            enc);
-    } else {
-        run.bits = symbolsToBits(
-            classifyAll(raw.latencies, raw.calibration.classifierFor(enc)),
-            enc);
-    }
-    run.simulatedCycles = raw.simulatedCycles;
-    run.schedulerStats = raw.schedulerStats;
-    return run;
+    return repetition > 1 ? cal.meanClassifierFor(enc)
+                          : cal.classifierFor(enc);
 }
 
 } // namespace
@@ -331,33 +219,96 @@ legacyTransportResult(const ChannelResult &r, const ProtocolConfig &proto)
 TransportResult
 runTransport(const ChannelConfig &cfg, const BitVec &message)
 {
-    if (!cfg.transport.enabled) {
-        // Transport off: the legacy single-shot path, untouched —
-        // same RNG draws, same schedule, bit-identical results
-        // (TransportOffEquivalence test).
-        return legacyTransportResult(runChannel(cfg), cfg.protocol);
-    }
-    const TransportLink link = [&cfg](const BitVec &stream,
-                                      const RateStep &rate,
-                                      std::uint64_t seed) {
-        return channelLinkRun(cfg, stream, rate, seed);
-    };
-    return runTransportSession(cfg.transport, cfg.protocol, message, link,
-                               cfg.seed);
+    return runTransportOver(
+        cfg, message, runChannel,
+        [](const ChannelConfig &rung, const BitVec &stream) {
+            // Observer adjustments apply per burst, after the rung
+            // reshaped the pacing (a coarse plan re-aligns the rung's
+            // Ts/Tr to the granule and holds each symbol R slots).
+            const DegradedPlan plan = planDegraded(rung);
+            const Encoding &enc = rung.protocol.encoding;
+            const RawRun raw = runRawSequence(
+                plan.cfg, frameToLevels(stream, enc, plan.repetition));
+            return linkRunOf(raw, enc, plan.repetition);
+        });
 }
 
 TransportResult
 runTransport(const ChannelConfig &cfg)
 {
-    Rng msgRng(cfg.seed ^ 0x7ea45007ULL);
-    const std::size_t bits =
-        std::size_t(cfg.transport.messageFrames) *
-        cfg.transport.layout.payloadBits;
-    BitVec message;
-    message.reserve(bits);
-    for (std::size_t i = 0; i < bits; ++i)
-        message.push_back(msgRng.flip());
-    return runTransport(cfg, message);
+    return runTransport(cfg, transportMessage(cfg.transport, cfg.seed));
+}
+
+ChannelResult
+decodeLatencies(std::vector<double> latencies, const Classifier &classifier,
+                const Encoding &encoding, const BitVec &frame,
+                unsigned frames, double rateKbps, unsigned repetition)
+{
+    ChannelResult res;
+    res.latencies = std::move(latencies);
+    const DecodeResult dec =
+        repetition > 1
+            ? decodeTransmission(collapseRepetition(res.latencies, repetition),
+                                 classifier, encoding, frame, frames)
+            : decodeTransmission(res.latencies, classifier, encoding, frame,
+                                 frames);
+    res.repetition = repetition;
+    res.ber = dec.ber;
+    res.breakdown = dec.breakdown;
+    res.aligned = dec.aligned;
+    res.framesScored = dec.framesScored;
+    res.framesExpected = dec.framesExpected;
+    res.rateKbps = rateKbps / double(repetition);
+    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
+    res.sentFrame = frame;
+    res.decodedBits = dec.bitstream;
+    return res;
+}
+
+ChannelResult
+scoreRawRun(RawRun raw, const BitVec &frame, const ProtocolConfig &proto,
+            unsigned repetition)
+{
+    const Encoding &enc = proto.encoding;
+    ChannelResult res = decodeLatencies(
+        std::move(raw.latencies),
+        blockClassifier(raw.calibration, enc, repetition), enc, frame,
+        proto.frames, proto.rateKbps(), repetition);
+    res.evictionDiscoveryVerified = raw.discoveryVerified;
+    res.calibrationMedians = raw.calibration.medianByD;
+    res.senderCounters = raw.senderCounters;
+    res.receiverCounters = raw.receiverCounters;
+    res.senderTid = raw.senderTid;
+    res.receiverTid = raw.receiverTid;
+    res.simulatedCycles = raw.simulatedCycles;
+    res.schedulerStats = raw.schedulerStats;
+    return res;
+}
+
+LinkRun
+linkRunOf(const RawRun &raw, const Encoding &encoding, unsigned repetition)
+{
+    const Classifier classifier =
+        blockClassifier(raw.calibration, encoding, repetition);
+    LinkRun run;
+    run.bits = symbolsToBits(
+        repetition > 1
+            ? classifyAll(collapseRepetition(raw.latencies, repetition),
+                          classifier)
+            : classifyAll(raw.latencies, classifier),
+        encoding);
+    run.simulatedCycles = raw.simulatedCycles;
+    run.schedulerStats = raw.schedulerStats;
+    return run;
+}
+
+BitVec
+transportMessage(const TransportConfig &transport, std::uint64_t seed)
+{
+    Rng msgRng(seed ^ 0x7ea45007ULL);
+    return randomBits(std::size_t(transport.messageFrames) *
+                          transport.layout.payloadBits,
+                      msgRng);
 }
 
 std::string
@@ -368,9 +319,7 @@ transmitString(const ChannelConfig &cfg, const std::string &msg,
     BitVec frame = preamble16();
     const BitVec payload = fromString(msg);
     frame.insert(frame.end(), payload.begin(), payload.end());
-    // Pad to a whole number of symbols.
-    while (frame.size() % local.protocol.encoding.bitsPerSymbol() != 0)
-        frame.push_back(false);
+    frame = padToSymbols(std::move(frame), local.protocol.encoding);
     local.protocol.frameBits = static_cast<unsigned>(frame.size());
     local.protocol.frames = 1;
 

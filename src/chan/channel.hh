@@ -175,6 +175,101 @@ TransportResult legacyTransportResult(const ChannelResult &r,
 std::string transmitString(const ChannelConfig &cfg, const std::string &msg,
                            ChannelResult *result = nullptr);
 
+// ------------------------------------------------------------------
+// Runner scaffolding shared by the WB channel runners (same-core,
+// cross-core, L2, multi-set) and both transport links.
+// ------------------------------------------------------------------
+
+/**
+ * One physical pass through a simulated platform: everything below
+ * the bit level. The same-core and the cross-core platform runner each
+ * produce one, for the single-shot path and the transport link alike,
+ * so the two paths stay in lockstep — same RNG splits, same
+ * calibration, same thread wiring.
+ */
+struct RawRun
+{
+    std::vector<double> latencies;      //!< receiver raw observations
+    Cycles simulatedCycles = 0;
+    sim::PerfCounters senderCounters;
+    sim::PerfCounters receiverCounters;
+    ThreadId senderTid = 0;
+    ThreadId receiverTid = 0;
+    sim::SchedulerStats schedulerStats;
+    Calibration calibration;
+
+    /** Eviction-only observer: both discovered sets verified minimal
+     *  (true whenever no discovery ran). */
+    bool discoveryVerified = true;
+};
+
+/**
+ * Decode a receiver's latencies against @p classifier, score them
+ * against @p frame sent @p frames times, and fill the ChannelResult
+ * fields every runner shares: latencies, score, sent frame, decoded
+ * bits, rate and goodput. With @p repetition R > 1 each R-sample
+ * block is averaged into one symbol first, and the rate is divided by
+ * R — the effective bit rate (the goodput-honesty rule,
+ * docs/OBSERVERS.md).
+ */
+ChannelResult decodeLatencies(std::vector<double> latencies,
+                              const Classifier &classifier,
+                              const Encoding &encoding, const BitVec &frame,
+                              unsigned frames, double rateKbps,
+                              unsigned repetition = 1);
+
+/**
+ * Turn a raw run of @p frame, sent proto.frames times with every
+ * symbol held for @p repetition slots, into a ChannelResult: decode
+ * against the run's own calibration (mean centroids for R > 1 blocks,
+ * medians otherwise) and carry over its counters, thread ids, cycles
+ * and scheduler stats.
+ */
+ChannelResult scoreRawRun(RawRun raw, const BitVec &frame,
+                          const ProtocolConfig &proto, unsigned repetition);
+
+/** Classify a transport burst's raw run into the link's bit stream. */
+LinkRun linkRunOf(const RawRun &raw, const Encoding &encoding,
+                  unsigned repetition);
+
+/** The seed-derived random message of the runTransport(cfg)
+ *  conveniences: transport.messageFrames * layout.payloadBits bits. */
+BitVec transportMessage(const TransportConfig &transport,
+                        std::uint64_t seed);
+
+/**
+ * The transport entry both topologies share. With
+ * cfg.transport.enabled == false it is the legacy single-shot runner
+ * @p singleShot repackaged via legacyTransportResult() — same RNG
+ * draws, same operation order. Otherwise each burst of the session
+ * copies @p cfg with the round seed and the rung's pacing and
+ * encoding, pads the stream to whole symbols, and hands both to
+ * @p burst, which runs the platform once and returns the LinkRun.
+ */
+template <class Config, class Burst>
+TransportResult
+runTransportOver(const Config &cfg, const BitVec &message,
+                 ChannelResult (*singleShot)(const Config &), Burst burst)
+{
+    if (!cfg.transport.enabled)
+        return legacyTransportResult(singleShot(cfg), cfg.protocol);
+    const TransportLink link = [&cfg, &burst](const BitVec &stream,
+                                              const RateStep &rate,
+                                              std::uint64_t seed) {
+        Config rung = cfg;
+        rung.seed = seed;
+        // The ladder only ever keeps Ts (binary fallback and the
+        // d-shrink footprint rungs) or widens it by powers of two, so
+        // the Tr:Ts ratio survives the integer arithmetic exactly.
+        rung.protocol.tr = cfg.protocol.tr * (rate.ts / cfg.protocol.ts);
+        rung.protocol.ts = rate.ts;
+        rung.protocol.encoding = rate.encoding;
+        return burst(rung, padToSymbols(stream, rate.encoding));
+    };
+    return runTransportSession(cfg.transport, cfg.protocol, message, link,
+                               cfg.seed);
+}
+
 } // namespace wb::chan
 
 #endif // WB_CHAN_CHANNEL_HH

@@ -134,26 +134,8 @@ calibrateCrossCore(const CrossCoreChannelConfig &cfg,
     return out;
 }
 
-/**
- * One physical pass through the multi-core platform: everything below
- * the bit level. The legacy single-shot path and the transport link
- * both run through here, so the two stay in lockstep — same RNG
- * splits, same calibration, same thread wiring.
- */
-struct CrossRawRun
-{
-    std::vector<double> latencies;
-    Cycles simulatedCycles = 0;
-    sim::PerfCounters senderCounters;
-    sim::PerfCounters receiverCounters;
-    ThreadId senderTid = 0;
-    ThreadId receiverTid = 0;
-    sim::SchedulerStats schedulerStats;
-    Calibration calibration;
-};
-
 /** Run the platform once, modulating the per-slot levels @p dSeq. */
-CrossRawRun
+RawRun
 runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
                 const std::vector<unsigned> &dSeq)
 {
@@ -209,7 +191,7 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
         os ? os->run(sched.horizon * os->horizonStretch())
            : sim::runCores({&senderCore, &receiverCore}, sched.horizon);
 
-    CrossRawRun raw;
+    RawRun raw;
     raw.latencies = receiver.latencies();
     raw.simulatedCycles = end;
     raw.senderCounters = mc.counters(cfg.senderCore, senderTid);
@@ -229,114 +211,40 @@ runCrossCoreRaw(const CrossCoreChannelConfig &cfg,
     return raw;
 }
 
-/** Bind one transport burst to the multi-core platform. */
-LinkRun
-crossCoreLinkRun(const CrossCoreChannelConfig &base, const BitVec &stream,
-                 const RateStep &rate, std::uint64_t seed)
-{
-    CrossCoreChannelConfig cfg = base;
-    cfg.seed = seed;
-    // The ladder only ever keeps Ts (binary fallback and the
-    // d-shrink footprint rungs) or widens it by powers of two, so
-    // the Tr:Ts ratio survives the integer arithmetic exactly.
-    cfg.protocol.tr = base.protocol.tr * (rate.ts / base.protocol.ts);
-    cfg.protocol.ts = rate.ts;
-    cfg.protocol.encoding = rate.encoding;
-    const Encoding &enc = cfg.protocol.encoding;
-
-    BitVec padded = stream;
-    while (padded.size() % enc.bitsPerSymbol() != 0)
-        padded.push_back(false);
-
-    const std::vector<unsigned> dSeq = frameToLevels(padded, enc);
-    CrossRawRun raw = runCrossCoreRaw(cfg, dSeq);
-
-    LinkRun run;
-    run.bits = symbolsToBits(
-        classifyAll(raw.latencies, raw.calibration.classifierFor(enc)),
-        enc);
-    run.simulatedCycles = raw.simulatedCycles;
-    run.schedulerStats = raw.schedulerStats;
-    return run;
-}
-
 } // namespace
 
 ChannelResult
 runCrossCoreChannel(const CrossCoreChannelConfig &cfg)
 {
     const ProtocolConfig &proto = cfg.protocol;
-    const Encoding &enc = proto.encoding;
-
     Rng frameRng(cfg.seed ^ 0xf00dULL);
     const BitVec frame = randomFrame(proto.frameBits - 16, frameRng);
-    if (frame.size() % enc.bitsPerSymbol() != 0)
-        fatalf("runCrossCoreChannel: frame bits ", frame.size(),
-               " not divisible by bits/symbol ", enc.bitsPerSymbol());
-
-    // --- Per-slot dirty-line levels for all frame repetitions ---
-    const auto frameLevels = frameToLevels(frame, enc);
-    std::vector<unsigned> dSeq;
-    dSeq.reserve(frameLevels.size() * proto.frames);
-    for (unsigned f = 0; f < proto.frames; ++f)
-        dSeq.insert(dSeq.end(), frameLevels.begin(), frameLevels.end());
-
-    CrossRawRun raw = runCrossCoreRaw(cfg, dSeq);
-    const Classifier classifier = raw.calibration.classifierFor(enc);
-
-    // --- Decode ---
-    ChannelResult res;
-    res.latencies = std::move(raw.latencies);
-    DecodeResult dec = decodeTransmission(res.latencies, classifier, enc,
-                                          frame, proto.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.rateKbps = proto.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
-    res.calibrationMedians = raw.calibration.medianByD;
-    res.senderCounters = raw.senderCounters;
-    res.receiverCounters = raw.receiverCounters;
-    res.senderTid = raw.senderTid;
-    res.receiverTid = raw.receiverTid;
-    res.simulatedCycles = raw.simulatedCycles;
-    res.schedulerStats = raw.schedulerStats;
-    return res;
+    const std::vector<unsigned> frameLevels =
+        frameToLevels(frame, proto.encoding);
+    const std::vector<unsigned> dSeq = repeatFrame(frameLevels, proto.frames);
+    return scoreRawRun(runCrossCoreRaw(cfg, dSeq), frame, proto,
+                       /*repetition=*/1);
 }
 
 TransportResult
 runCrossCoreTransport(const CrossCoreChannelConfig &cfg,
                       const BitVec &message)
 {
-    if (!cfg.transport.enabled) {
-        return legacyTransportResult(runCrossCoreChannel(cfg),
-                                     cfg.protocol);
-    }
-    const TransportLink link = [&cfg](const BitVec &stream,
-                                      const RateStep &rate,
-                                      std::uint64_t seed) {
-        return crossCoreLinkRun(cfg, stream, rate, seed);
-    };
-    return runTransportSession(cfg.transport, cfg.protocol, message, link,
-                               cfg.seed);
+    return runTransportOver(
+        cfg, message, runCrossCoreChannel,
+        [](const CrossCoreChannelConfig &rung, const BitVec &stream) {
+            const Encoding &enc = rung.protocol.encoding;
+            const RawRun raw =
+                runCrossCoreRaw(rung, frameToLevels(stream, enc));
+            return linkRunOf(raw, enc, /*repetition=*/1);
+        });
 }
 
 TransportResult
 runCrossCoreTransport(const CrossCoreChannelConfig &cfg)
 {
-    Rng msgRng(cfg.seed ^ 0x7ea45007ULL);
-    const std::size_t bits =
-        std::size_t(cfg.transport.messageFrames) *
-        cfg.transport.layout.payloadBits;
-    BitVec message;
-    message.reserve(bits);
-    for (std::size_t i = 0; i < bits; ++i)
-        message.push_back(msgRng.flip());
-    return runCrossCoreTransport(cfg, message);
+    return runCrossCoreTransport(cfg,
+                                 transportMessage(cfg.transport, cfg.seed));
 }
 
 } // namespace wb::chan

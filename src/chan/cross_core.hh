@@ -88,8 +88,7 @@ struct CrossCoreChannelConfig
 
     CrossCoreChannelConfig()
     {
-        platform = sim::platform(platformName).params;
-        noise = sim::platform(platformName).noise;
+        usePlatform(platformName);
         // An LLC-set sweep is ~llc.ways DRAM misses, far slower than
         // the L1 channel's 10-line chase: slots are paced wider.
         protocol.ts = protocol.tr = 12000;
@@ -107,11 +106,8 @@ struct CrossCoreChannelConfig
     CrossCoreChannelConfig &
     usePlatform(const std::string &name)
     {
-        const sim::Platform &p = sim::platform(name);
-        platformName = p.name;
-        platform = p.params;
-        noise = p.noise;
-        cores = std::max(2u, p.cores);
+        cores = std::max(
+            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
         return *this;
     }
 };

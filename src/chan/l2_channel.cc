@@ -187,9 +187,7 @@ runL2Channel(const L2ChannelConfig &cfg)
     auto [c0, c1] = calibrateL2(cfg, calRng);
 
     const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    const BitVec allBits = repeatFrame(frame, cfg.frames);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
@@ -214,21 +212,9 @@ runL2Channel(const L2ChannelConfig &cfg)
         Cycles(allBits.size() + 8) * (cfg.ts + 60) + 400000;
     const Cycles end = core.run(horizon);
 
-    L2ChannelResult res;
-    res.latencies = receiver.latencies();
-    Classifier classifier({c0, c1});
-    const Encoding enc = Encoding::binary(1);
-    auto dec = decodeTransmission(res.latencies, classifier, enc, frame,
-                                  cfg.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.rateKbps = cfg.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
+    L2ChannelResult res = decodeLatencies(
+        receiver.latencies(), Classifier({c0, c1}), Encoding::binary(1),
+        frame, cfg.frames, cfg.rateKbps());
     res.calibrationMedians = {c0, c1};
     res.senderCounters = hierarchy.counters(senderTid);
     res.receiverCounters = hierarchy.counters(receiverTid);

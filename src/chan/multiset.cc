@@ -212,9 +212,7 @@ runMultiSetChannel(const MultiSetConfig &cfg)
     Classifier classifier = cal.binaryClassifier(cfg.d);
 
     const BitVec frame = randomFrame(cfg.frameBits - 16, frameRng);
-    BitVec allBits;
-    for (unsigned f = 0; f < cfg.frames; ++f)
-        allBits.insert(allBits.end(), frame.begin(), frame.end());
+    const BitVec allBits = repeatFrame(frame, cfg.frames);
 
     sim::Hierarchy hierarchy(cfg.platform, &runRng);
     sim::SmtCore core(hierarchy, cfg.noise, runRng);
@@ -246,20 +244,9 @@ runMultiSetChannel(const MultiSetConfig &cfg)
         senderStart + Cycles(slots + 8) * (cfg.ts + 60) + 400000;
     const Cycles end = core.run(horizon);
 
-    ChannelResult res;
-    res.latencies = receiver.samples();
-    auto dec = decodeTransmission(res.latencies, classifier,
-                                  Encoding::binary(1), frame,
-                                  cfg.frames);
-    res.ber = dec.ber;
-    res.breakdown = dec.breakdown;
-    res.aligned = dec.aligned;
-    res.framesScored = dec.framesScored;
-    res.framesExpected = dec.framesExpected;
-    res.rateKbps = cfg.rateKbps();
-    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
-    res.sentFrame = frame;
-    res.decodedBits = dec.bitstream;
+    ChannelResult res =
+        decodeLatencies(receiver.samples(), classifier, Encoding::binary(1),
+                        frame, cfg.frames, cfg.rateKbps());
     res.calibrationMedians = cal.medianByD;
     res.senderCounters = hierarchy.counters(senderTid);
     res.receiverCounters = hierarchy.counters(receiverTid);

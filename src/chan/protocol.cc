@@ -28,17 +28,26 @@ classifyAll(const std::vector<double> &latencies, const Classifier &classifier)
 }
 
 std::vector<unsigned>
-frameToLevels(const BitVec &frame, const Encoding &encoding)
+frameToLevels(const BitVec &frame, const Encoding &encoding, unsigned hold)
 {
     const unsigned k = encoding.bitsPerSymbol();
     if (frame.size() % k != 0)
         fatalf("frameToLevels: frame size ", frame.size(),
                " not divisible by bits/symbol ", k);
     std::vector<unsigned> levels;
-    levels.reserve(frame.size() / k);
+    levels.reserve(frame.size() / k * hold);
     for (std::size_t pos = 0; pos < frame.size(); pos += k)
-        levels.push_back(encoding.level(encoding.symbolAt(frame, pos)));
+        levels.insert(levels.end(), hold,
+                      encoding.level(encoding.symbolAt(frame, pos)));
     return levels;
+}
+
+BitVec
+padToSymbols(BitVec bits, const Encoding &encoding)
+{
+    while (bits.size() % encoding.bitsPerSymbol() != 0)
+        bits.push_back(false);
+    return bits;
 }
 
 namespace

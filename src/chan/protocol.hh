@@ -104,10 +104,32 @@ DecodeResult decodeTransmission(const std::vector<double> &latencies,
 
 /**
  * Expand a frame into the per-slot dirty-line sequence the sender
- * must modulate (Algorithm 1's d = f(M[0..k-1]) per slot).
+ * must modulate (Algorithm 1's d = f(M[0..k-1]) per slot). Each
+ * symbol's level is held for @p hold consecutive slots (the
+ * coarse-timer repetition factor R; 1 = one slot per symbol).
  */
 std::vector<unsigned> frameToLevels(const BitVec &frame,
-                                    const Encoding &encoding);
+                                    const Encoding &encoding,
+                                    unsigned hold = 1);
+
+/**
+ * @p frame sent back to back @p times: the sender's repeated stream,
+ * as bits or as per-slot levels (expand one frame with frameToLevels,
+ * then repeat the levels).
+ */
+template <class T>
+std::vector<T>
+repeatFrame(const std::vector<T> &frame, unsigned times)
+{
+    std::vector<T> out;
+    out.reserve(frame.size() * times);
+    for (unsigned f = 0; f < times; ++f)
+        out.insert(out.end(), frame.begin(), frame.end());
+    return out;
+}
+
+/** @p bits zero-padded to a whole number of @p encoding's symbols. */
+BitVec padToSymbols(BitVec bits, const Encoding &encoding);
 
 /**
  * The run bookkeeping every transmission runner (same-core and

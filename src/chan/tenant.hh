@@ -94,15 +94,15 @@ struct TenantSweepConfig
 
     std::uint64_t seed = 1;
 
+    /** Default: the named preset above, resolved. */
+    TenantSweepConfig() { usePlatform(platformName); }
+
     /** Resolve a registry preset into the fields above. */
     TenantSweepConfig &
     usePlatform(const std::string &name)
     {
-        const sim::Platform &p = sim::platform(name);
-        platformName = p.name;
-        platform = p.params;
-        noise = p.noise;
-        cores = std::max(2u, p.cores);
+        cores = std::max(
+            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
         return *this;
     }
 };

@@ -79,11 +79,9 @@ senderMissProfile(CoRunner coRunner, bool multiBit, Cycles ts,
     const chan::Encoding enc = multiBit ? chan::Encoding::paperTwoBit()
                                         : chan::Encoding::binary(1);
     Rng bitRng = rng.split();
-    const BitVec msg = randomBits(bits, bitRng);
-    BitVec padded = msg;
-    while (padded.size() % enc.bitsPerSymbol() != 0)
-        padded.push_back(false);
-    const auto levels = chan::frameToLevels(padded, enc);
+    const auto levels =
+        chan::frameToLevels(chan::padToSymbols(randomBits(bits, bitRng), enc),
+                            enc);
 
     const unsigned targetSet = 13;
     const auto senderLines = chan::linesForSet(

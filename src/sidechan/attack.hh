@@ -87,8 +87,8 @@ struct AttackConfig
     AttackConfig &
     usePlatform(const std::string &name)
     {
-        sim::applyPlatform(name, platformName, platform, noise);
-        cores = std::max(2u, sim::platform(name).cores);
+        cores = std::max(
+            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
         return *this;
     }
 };

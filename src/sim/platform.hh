@@ -80,9 +80,10 @@ void registerPlatform(Platform p);
 /**
  * Shared body of every config struct's usePlatform(): resolve
  * @p name (fatal on unknown) into the caller's platform-name record,
- * hierarchy parameters and noise model.
+ * hierarchy parameters and noise model. @return the resolved preset,
+ * for the fields (core count) only some configs carry.
  */
-inline void
+inline const Platform &
 applyPlatform(const std::string &name, std::string &platformName,
               HierarchyParams &params, NoiseModel &noise)
 {
@@ -90,6 +91,7 @@ applyPlatform(const std::string &name, std::string &platformName,
     platformName = p.name;
     params = p.params;
     noise = p.noise;
+    return p;
 }
 
 } // namespace wb::sim

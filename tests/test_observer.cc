@@ -225,7 +225,8 @@ TEST(ObserverEquivalence, DefaultPlanIsIdentity)
 // RNG split order, operation order or result assembly trips them.
 // ------------------------------------------------------------------
 
-/** The scalar TransportResult fields a transport pin records. */
+/** The scalar TransportResult fields a transport pin records (frames
+ *  carry the default FrameLayout's 48 payload bits). */
 void
 expectTransport(const TransportResult &t, unsigned framesTotal,
                 unsigned framesDelivered, std::uint64_t framesSent,

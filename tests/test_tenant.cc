@@ -1,8 +1,9 @@
 /**
  * @file
- * Many-tenant harness tests (chan/tenant.hh): a small sweep on the
- * sliced presets end-to-end (discovery through decode), determinism,
- * the unsliced degenerate case, and the forced-collision regime.
+ * Many-tenant harness tests (chan/tenant.hh): the default config's
+ * platform, a small sweep on the sliced presets end-to-end (discovery
+ * through decode), determinism, the unsliced degenerate case, and the
+ * forced-collision regime.
  * The full scaling curves live in examples/tenant_scaling.cpp.
  */
 
@@ -15,6 +16,23 @@ namespace wb::chan
 {
 namespace
 {
+
+TEST(TenantSweepConfig, DefaultIsItsNamedPreset)
+{
+    // A default config must be the platform its name claims, not a
+    // default HierarchyParams under a sliced-preset label.
+    const TenantSweepConfig def;
+    TenantSweepConfig named;
+    named.usePlatform("dc-sliced-64core");
+    EXPECT_EQ(def.platformName, named.platformName);
+    EXPECT_EQ(def.cores, named.cores);
+    EXPECT_EQ(def.platform.llcSlices, named.platform.llcSlices);
+    EXPECT_EQ(def.platform.llc.sizeBytes, named.platform.llc.sizeBytes);
+    EXPECT_EQ(def.platform.llc.ways, named.platform.llc.ways);
+    EXPECT_EQ(def.platform.llcSlices, 8u);
+    EXPECT_EQ(def.platform.llc.sizeBytes, std::size_t(32) << 20);
+    EXPECT_EQ(def.platform.llc.ways, 16u);
+}
 
 TEST(TenantSweep, SmallSlicedSweepDiscoversAndTransmits)
 {
