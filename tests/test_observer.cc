@@ -2,10 +2,11 @@
  * @file
  * Degraded-observer tests (sim/observer.hh, chan/degraded.hh): the
  * cycle-accurate path's bit-exact equivalence pin, the runner pins
- * (transport links, repetition decoder, L2/multi-set channels and the
- * Prime+Probe baselines), the observer choke point's quantization
- * guarantees, the pending-write-back flush model, and the three
- * observer classes' end-to-end channel behaviour.
+ * (transport links, repetition decoder, L2/multi-set channels, the
+ * Prime+Probe baselines, the Sec. IX attack and the tenant sweep),
+ * the observer choke point's quantization guarantees, the
+ * pending-write-back flush model, and the three observer classes'
+ * end-to-end channel behaviour.
  *
  * Every BER claim is a pooled multi-seed statistical assertion
  * (tests/stat_assert.hh): the Wilson bound of the error proportion
@@ -15,6 +16,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,8 @@
 #include "chan/degraded.hh"
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
+#include "chan/tenant.hh"
+#include "sidechan/attack.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
 #include "sim/smt_core.hh"
@@ -445,6 +449,85 @@ TEST(RunnerPins, CrossCorePrimeProbeBitIdentical)
         SCOPED_TRACE("receiver");
         expectCounters(r.receiverCounters, 14454, 0, 14017, 0, 0, 186429);
     }
+}
+
+// runAttack and runTenantSweep have no other bit-exact pin: these fix
+// the Sec. IX attack loop (same-core and cross-core with attacker
+// migration) and the many-tenant pipeline (blind discovery, slotted
+// channel, decode) at values captured before their configs were
+// rebased onto sim::RunSpec.
+
+TEST(RunnerPins, SameCoreAttackBitIdentical)
+{
+    sidechan::AttackConfig cfg;
+    cfg.trials = 64;
+    cfg.seed = 53;
+    const sidechan::AttackResult r = sidechan::runAttack(cfg);
+    EXPECT_EQ(r.accuracy, 1.0);
+    EXPECT_DOUBLE_EQ(r.threshold, 148.07779801136465);
+    EXPECT_DOUBLE_EQ(r.meanLatency0, 141.83817891658867);
+    EXPECT_DOUBLE_EQ(r.meanLatency1, 154.14479623752663);
+}
+
+TEST(RunnerPins, CrossCoreAttackBitIdentical)
+{
+    sidechan::AttackConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.crossCore = true;
+    cfg.trials = 64;
+    cfg.seed = 47;
+    cfg.scheduler.migrationPeriod = 16; // trials between migrations
+    EXPECT_EQ(cfg.cores, 4u);
+    const sidechan::AttackResult r = sidechan::runAttack(cfg);
+    EXPECT_DOUBLE_EQ(r.accuracy, 0.984375);
+    EXPECT_DOUBLE_EQ(r.threshold, 3845.6681890355107);
+    EXPECT_DOUBLE_EQ(r.meanLatency0, 3831.9778013545083);
+    EXPECT_DOUBLE_EQ(r.meanLatency1, 3855.6808018423171);
+}
+
+TEST(RunnerPins, TenantSweepBitIdentical)
+{
+    TenantSweepConfig cfg;
+    cfg.usePlatform("dc-sliced-16core");
+    cfg.pairs = 8;
+    cfg.seed = 59;
+    EXPECT_EQ(cfg.cores, 16u);
+    const TenantSweepResult r = runTenantSweep(cfg);
+
+    struct PairPin
+    {
+        unsigned senderCore, receiverCore, targetSet, slice;
+        std::uint64_t discoveryTests, discoveryAccesses;
+        double ber;
+    };
+    const PairPin pins[] = {
+        {0, 1, 10, 2, 224, 41542, 0.0},
+        {2, 3, 11, 0, 221, 38227, 0.0},
+        {4, 5, 23, 2, 204, 38619, 0.0},
+        {6, 7, 34, 0, 204, 38832, 0.1875},
+        {8, 9, 13, 2, 220, 41741, 0.0},
+        {10, 11, 34, 0, 204, 35847, 0.5},
+        {12, 13, 51, 2, 245, 45244, 0.0},
+        {14, 15, 58, 0, 180, 33723, 0.0},
+    };
+    ASSERT_EQ(r.pairs.size(), std::size(pins));
+    for (std::size_t i = 0; i < r.pairs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const TenantPairResult &p = r.pairs[i];
+        EXPECT_EQ(p.senderCore, pins[i].senderCore);
+        EXPECT_EQ(p.receiverCore, pins[i].receiverCore);
+        EXPECT_EQ(p.targetSet, pins[i].targetSet);
+        EXPECT_EQ(p.slice, pins[i].slice);
+        EXPECT_TRUE(p.discovered);
+        EXPECT_EQ(p.senderLineCount, cfg.d);
+        EXPECT_EQ(p.discoveryTests, pins[i].discoveryTests);
+        EXPECT_EQ(p.discoveryAccesses, pins[i].discoveryAccesses);
+        EXPECT_EQ(p.ber, pins[i].ber);
+    }
+    EXPECT_EQ(r.discovered, 8u);
+    EXPECT_EQ(r.collidingPairs, 2u);
+    EXPECT_DOUBLE_EQ(r.meanBer, 0.0859375);
+    EXPECT_DOUBLE_EQ(r.aggregateKbps, 3151.8938699374266);
 }
 
 // ------------------------------------------------------------------
