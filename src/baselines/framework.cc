@@ -1,5 +1,7 @@
 #include "baselines/framework.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "chan/set_mapping.hh"
 
@@ -77,6 +79,7 @@ scoreBinaryLatencies(BaselineResult &res, double centroidLow,
     res.breakdown = dec.breakdown;
     res.aligned = dec.aligned;
     res.framesScored = dec.framesScored;
+    res.goodputKbps = res.rateKbps * (1.0 - std::min(1.0, res.ber));
 }
 
 } // namespace wb::baselines

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "common/edit_distance.hh"
+#include "chan/channel.hh"
 #include "chan/noise_process.hh"
 #include "chan/protocol.hh"
 #include "sim/hierarchy.hh"
@@ -30,19 +30,19 @@
 namespace wb::baselines
 {
 
-/** Configuration shared by every baseline channel. */
-struct BaselineConfig
+/**
+ * Configuration shared by every baseline channel. cores is unread:
+ * runCrossCorePrimeProbe() takes its core count as a parameter.
+ */
+struct BaselineConfig : sim::RunSpec
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
+    BaselineConfig() : RunSpec(sim::kDefaultPlatform, 1) {}
+
     Cycles ts = 5500;        //!< sender period
     Cycles tr = 5500;        //!< receiver period
     unsigned frameBits = 128;
     unsigned frames = 30;
     unsigned targetSet = 13;
-    std::uint64_t seed = 1;
     double cpuGhz = 2.2;
 
     /** Co-resident noise processes touching the target set. */
@@ -57,33 +57,15 @@ struct BaselineConfig
 
     /** Channel rate in kbps (binary symbols). */
     double rateKbps() const { return cpuGhz * 1e6 / double(ts); }
-
-    /**
-     * Reconfigure for a named registry preset (hierarchy parameters +
-     * noise model). Fatal on an unknown name. @return *this.
-     */
-    BaselineConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
-    }
 };
 
-/** Result of one baseline transmission experiment. */
-struct BaselineResult
-{
-    double ber = 1.0;
-    EditBreakdown breakdown;
-    double rateKbps = 0.0;
-    bool aligned = false;
-    unsigned framesScored = 0;
-    unsigned framesExpected = 0;
-    std::vector<double> latencies;
-    BitVec sentFrame;
-    sim::PerfCounters senderCounters;
-    sim::PerfCounters receiverCounters;
-};
+/**
+ * Result of one baseline transmission experiment: the WB channel's
+ * result type. Baselines fill BER, breakdown, rate and goodput,
+ * alignment, latencies, sent frame and counters; the rest keep their
+ * defaults.
+ */
+using BaselineResult = chan::ChannelResult;
 
 /**
  * A paced bit sender/receiver pair. The runner owns the platform; the
@@ -141,7 +123,8 @@ BaselineResult runBaseline(const BaselineConfig &cfg,
  * The shared decode tail of every binary baseline: classify
  * res.latencies against {centroidLow, centroidHigh}, optionally
  * invert, align the repeated @p frame and score it with the edit
- * distance, filling res.ber/breakdown/aligned/framesScored.
+ * distance, filling res.ber/breakdown/aligned/framesScored and
+ * res.goodputKbps = res.rateKbps * (1 - ber) (set rateKbps first).
  * @pre centroidHigh > centroidLow — panics otherwise; callers that
  * cannot guarantee separation branch before calling (see
  * runCrossCorePrimeProbe).

@@ -154,15 +154,7 @@ calibrate(const sim::HierarchyParams &hp, const sim::NoiseModel &noise,
                                       receiverSpace, chase.order(),
                                       noise);
         }
-        if (noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, noise.measBaseSigma);
-        // The observer choke point (quantization-bypass audit fix):
-        // offline measurements pass through the same resolution floor
-        // and jitter the live receiver's timestamps suffer, so a
-        // coarse-timer config cannot be beaten by calibrating with a
-        // secretly perfect clock. No-op for the default observer on a
-        // granule-1 platform.
-        lat = noise.observeDuration(lat, rng);
+        lat = noise.observeOffline(lat, rng);
         useA = !useA;
         if (m >= cfg.discard)
             out.latencyByD[d].add(lat);

@@ -28,34 +28,13 @@
 namespace wb::chan
 {
 
-/** Complete experiment configuration. */
-struct ChannelConfig
+/** Complete experiment configuration (single core; cores unread). */
+struct ChannelConfig : sim::RunSpec
 {
-    /**
-     * Registry preset this config was built from (informational; set
-     * by usePlatform()). The resolved parameters below are what the
-     * runner uses, so defenses and experiments can still tweak them
-     * after selecting a platform.
-     */
-    std::string platformName = sim::kDefaultPlatform;
+    ChannelConfig() : RunSpec(sim::kDefaultPlatform, 1) {}
 
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;         //!< platform noise (default realistic)
     ProtocolConfig protocol;       //!< pacing/encoding/framing
     CalibrationConfig calibration; //!< offline calibration parameters
-    std::uint64_t seed = 1;        //!< run seed (bit-exact reproducible)
-
-    /**
-     * Reconfigure for a named registry preset: resolves the platform's
-     * hierarchy parameters and noise model and records the name.
-     * Fatal on an unknown name. @return *this, for chaining.
-     */
-    ChannelConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
-    }
 
     /** Sender launch delay in slots (receiver starts first). */
     unsigned senderStartSlots = 8;

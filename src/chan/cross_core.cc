@@ -122,9 +122,7 @@ calibrateCrossCore(const CrossCoreChannelConfig &cfg,
         chase.reshuffle(rng);
         double lat = measureChaseOffline(receiver, 0, receiverSpace,
                                          chase.order(), cfg.noise);
-        if (cfg.noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, cfg.noise.measBaseSigma);
-        lat = cfg.noise.observeDuration(lat, rng); // observer choke point
+        lat = cfg.noise.observeOffline(lat, rng);
         useA = !useA;
         if (m >= cfg.calibration.discard)
             out.latencyByD[d].add(lat);

@@ -39,17 +39,13 @@
 namespace wb::chan
 {
 
-/** Cross-core transmission experiment configuration. */
-struct CrossCoreChannelConfig
+/**
+ * Cross-core transmission experiment configuration. cores is the
+ * MultiCoreSystem size: at least 2, a sender core and a receiver
+ * core, even on single-core presets.
+ */
+struct CrossCoreChannelConfig : sim::RunSpec
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = "desktop-inclusive-4core";
-    sim::HierarchyParams platform;
-    sim::NoiseModel noise;
-
-    /** Cores the MultiCoreSystem instantiates (>= 2). */
-    unsigned cores = 4;
-
     unsigned senderCore = 0;   //!< core the sender is pinned to
     unsigned receiverCore = 1; //!< core the receiver is pinned to
 
@@ -66,7 +62,6 @@ struct CrossCoreChannelConfig
     unsigned replacementSize = 0;
 
     CalibrationConfig calibration; //!< measurements/discard reused
-    std::uint64_t seed = 1;
 
     unsigned senderStartSlots = 8; //!< sender launch delay in slots
     unsigned sampleMargin = 96;    //!< extra receiver samples
@@ -86,29 +81,14 @@ struct CrossCoreChannelConfig
      */
     TransportConfig transport;
 
-    CrossCoreChannelConfig()
+    CrossCoreChannelConfig() : RunSpec("desktop-inclusive-4core", 2)
     {
-        usePlatform(platformName);
         // An LLC-set sweep is ~llc.ways DRAM misses, far slower than
         // the L1 channel's 10-line chase: slots are paced wider.
         protocol.ts = protocol.tr = 12000;
         protocol.frames = 8;
         protocol.encoding = Encoding::binary(4);
         calibration.measurements = 80;
-    }
-
-    /**
-     * Reconfigure for a named registry preset: hierarchy parameters,
-     * noise model and core count (at least 2 — a cross-core channel
-     * needs a sender core and a receiver core even on single-core
-     * presets). Fatal on an unknown name. @return *this.
-     */
-    CrossCoreChannelConfig &
-    usePlatform(const std::string &name)
-    {
-        cores = std::max(
-            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
-        return *this;
     }
 };
 

@@ -164,9 +164,7 @@ calibrateL2(const L2ChannelConfig &cfg, Rng &rng)
         chase.reshuffle(rng);
         double lat = measureChaseOffline(hierarchy, 1, receiverSpace,
                                          chase.order(), cfg.noise);
-        if (cfg.noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, cfg.noise.measBaseSigma);
-        lat = cfg.noise.observeDuration(lat, rng); // observer choke point
+        lat = cfg.noise.observeOffline(lat, rng);
         useA = !useA;
         if (m >= 4)
             (one ? s1 : s0).add(lat);

@@ -30,13 +30,11 @@
 namespace wb::chan
 {
 
-/** L2-channel experiment configuration. */
-struct L2ChannelConfig
+/** L2-channel experiment configuration (single core; cores unread). */
+struct L2ChannelConfig : sim::RunSpec
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
+    L2ChannelConfig() : RunSpec(sim::kDefaultPlatform, 1) {}
+
     Cycles ts = 30000;   //!< slots are longer: encode costs more
     Cycles tr = 30000;
     unsigned frames = 20;
@@ -46,22 +44,10 @@ struct L2ChannelConfig
     unsigned replacementSize = 12; //!< receiver lines per probe
     unsigned pusherLines = 10;   //!< L1-eviction sweep size
     unsigned calMeasurements = 150;
-    std::uint64_t seed = 1;
     double cpuGhz = 2.2;
 
     /** Channel rate in kbps. */
     double rateKbps() const { return cpuGhz * 1e6 / double(ts); }
-
-    /**
-     * Reconfigure for a named registry preset (hierarchy parameters +
-     * noise model). Fatal on an unknown name. @return *this.
-     */
-    L2ChannelConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
-    }
 };
 
 /**

@@ -20,13 +20,11 @@
 namespace wb::chan
 {
 
-/** Multi-set experiment configuration. */
-struct MultiSetConfig
+/** Multi-set experiment configuration (single core; cores unread). */
+struct MultiSetConfig : sim::RunSpec
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
+    MultiSetConfig() : RunSpec(sim::kDefaultPlatform, 1) {}
+
     Cycles ts = 5500;  //!< slot period
     Cycles tr = 5500;
     unsigned frames = 15;
@@ -36,7 +34,6 @@ struct MultiSetConfig
     unsigned firstSet = 8;      //!< sets used: firstSet + 8*j
     unsigned replacementSize = 10;
     unsigned calMeasurements = 150;
-    std::uint64_t seed = 1;
     double cpuGhz = 2.2;
 
     /** Aggregate channel rate in kbps (k bits per slot). */
@@ -51,17 +48,6 @@ struct MultiSetConfig
     targetSet(unsigned j) const
     {
         return (firstSet + 8 * j) % 64;
-    }
-
-    /**
-     * Reconfigure for a named registry preset (hierarchy parameters +
-     * noise model). Fatal on an unknown name. @return *this.
-     */
-    MultiSetConfig &
-    usePlatform(const std::string &name)
-    {
-        sim::applyPlatform(name, platformName, platform, noise);
-        return *this;
     }
 };
 

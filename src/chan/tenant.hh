@@ -48,16 +48,13 @@
 namespace wb::chan
 {
 
-/** Configuration of one many-tenant sweep run. */
-struct TenantSweepConfig
+/**
+ * Configuration of one many-tenant sweep run. cores is the
+ * MultiCoreSystem size (at least 2).
+ */
+struct TenantSweepConfig : sim::RunSpec
 {
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = "dc-sliced-64core";
-    sim::HierarchyParams platform;
-    sim::NoiseModel noise;
-
-    /** Cores the MultiCoreSystem instantiates (>= 2). */
-    unsigned cores = 64;
+    TenantSweepConfig() : RunSpec("dc-sliced-64core", 2) {}
 
     /** Concurrent sender/receiver tenant pairs on the socket. */
     unsigned pairs = 64;
@@ -91,20 +88,6 @@ struct TenantSweepConfig
     Cycles slotCycles = 6000;
 
     double cpuGhz = 3.0; //!< clock for cycles -> kbps conversion
-
-    std::uint64_t seed = 1;
-
-    /** Default: the named preset above, resolved. */
-    TenantSweepConfig() { usePlatform(platformName); }
-
-    /** Resolve a registry preset into the fields above. */
-    TenantSweepConfig &
-    usePlatform(const std::string &name)
-    {
-        cores = std::max(
-            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
-        return *this;
-    }
 };
 
 /** Outcome of one tenant pair inside a sweep. */

@@ -101,23 +101,6 @@ applyDefense(const chan::ChannelConfig &base, const DefenseSpec &spec)
     return cfg;
 }
 
-chan::ChannelConfig
-applyDefense(const std::string &platformName, const DefenseSpec &spec)
-{
-    chan::ChannelConfig base;
-    base.usePlatform(platformName);
-    return applyDefense(base, spec);
-}
-
-std::vector<DefenseEval>
-evaluateDefenses(const std::string &platformName,
-                 const std::vector<DefenseSpec> &specs)
-{
-    chan::ChannelConfig base;
-    base.usePlatform(platformName);
-    return evaluateDefenses(base, specs);
-}
-
 std::vector<DefenseEval>
 evaluateDefenses(const chan::ChannelConfig &base,
                  const std::vector<DefenseSpec> &specs)

@@ -62,14 +62,6 @@ std::string defenseName(const DefenseSpec &spec);
 chan::ChannelConfig applyDefense(const chan::ChannelConfig &base,
                                  const DefenseSpec &spec);
 
-/**
- * Build a defended configuration directly from a platform registry
- * preset: resolves @p platformName (fatal on an unknown name) and
- * applies @p spec on top of it.
- */
-chan::ChannelConfig applyDefense(const std::string &platformName,
-                                 const DefenseSpec &spec);
-
 /** Evaluation outcome for one defense. */
 struct DefenseEval
 {
@@ -87,15 +79,6 @@ struct DefenseEval
 /** Run the channel under each spec (plus the undefended baseline). */
 std::vector<DefenseEval>
 evaluateDefenses(const chan::ChannelConfig &base,
-                 const std::vector<DefenseSpec> &specs);
-
-/**
- * evaluateDefenses() on a platform registry preset: the base channel
- * configuration is the preset's parameters and noise model with the
- * library's default protocol. Fatal on an unknown name.
- */
-std::vector<DefenseEval>
-evaluateDefenses(const std::string &platformName,
                  const std::vector<DefenseSpec> &specs);
 
 /** The paper's default evaluation set (Sec. VIII). */

@@ -41,14 +41,12 @@ struct AttackerCtx
         chan::PointerChase &chase = useA ? chaseA : chaseB;
         chase.reshuffle(rng);
         useA = !useA;
-        double lat = chan::measureChaseOffline(
-            *mem, attackerTid, space, chase.order(), noise);
-        if (noise.measBaseSigma > 0.0)
-            lat += rng.gaussian(0.0, noise.measBaseSigma);
-        // Attacker-visible time goes through the observer choke point
-        // too: a sandboxed attacker cannot time the probe any finer
-        // than its timer allows (no-op for the default observer).
-        return noise.observeDuration(lat, rng);
+        // A sandboxed attacker cannot time the probe any finer than
+        // its timer allows.
+        return noise.observeOffline(
+            chan::measureChaseOffline(*mem, attackerTid, space,
+                                      chase.order(), noise),
+            rng);
     }
 
     /** Dirty d attacker lines in set m (prime for scenario 2/3). */
@@ -138,8 +136,11 @@ runAttack(const AttackConfig &cfg)
     unsigned ways = cfg.platform.l1.ways;
     unsigned replacementSize = cfg.replacementSize;
     if (cfg.crossCore) {
-        mc = std::make_unique<sim::MultiCoreSystem>(
-            cfg.platform, std::max(2u, cfg.cores), &rng);
+        if (cfg.cores < 2)
+            fatalf("runAttack: cross-core needs >= 2 cores (victim and "
+                   "attacker), got ", cfg.cores);
+        mc = std::make_unique<sim::MultiCoreSystem>(cfg.platform, cfg.cores,
+                                                    &rng);
         vicMem = &mc->port(0);
         atkMem = &mc->port(1);
         ways = cfg.platform.llc.ways;

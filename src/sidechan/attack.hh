@@ -38,9 +38,14 @@ enum class Scenario
     VictimTiming = 3    //!< scenario 3 (victim execution time)
 };
 
-/** Experiment parameters. */
-struct AttackConfig
+/**
+ * Experiment parameters. cores (at least 2) is the MultiCoreSystem
+ * size, read only when crossCore is set.
+ */
+struct AttackConfig : sim::RunSpec
 {
+    AttackConfig() : RunSpec(sim::kDefaultPlatform, 2) {}
+
     Scenario scenario = Scenario::DirtyProbe;
     unsigned trials = 200;        //!< secrets to recover
     unsigned serialLines = 1;     //!< victim lines per branch
@@ -48,7 +53,6 @@ struct AttackConfig
     unsigned setN = 21;           //!< secret=0 branch set
     unsigned replacementSize = 10; //!< attacker probe size
     unsigned calibration = 200;   //!< calibration measurements
-    std::uint64_t seed = 1;
 
     /**
      * Cross-core variant: victim on core 0, attacker on core 1 of a
@@ -60,12 +64,6 @@ struct AttackConfig
      * when it would not cover the LLC set.
      */
     bool crossCore = false;
-    unsigned cores = 2; //!< cores instantiated when crossCore is set
-
-    /** Registry preset this config was built from (see usePlatform). */
-    std::string platformName = sim::kDefaultPlatform;
-    sim::HierarchyParams platform = sim::xeonE5_2650Params();
-    sim::NoiseModel noise;
 
     /**
      * OS-noise regime (Table VII) for the attack loop. The attack is
@@ -78,19 +76,6 @@ struct AttackConfig
      * victim-free core. Inactive by default.
      */
     sim::SchedulerConfig scheduler;
-
-    /**
-     * Reconfigure for a named registry preset: hierarchy parameters,
-     * noise model, and the preset's core count (at least 2, used only
-     * when crossCore is set). Fatal on an unknown name. @return *this.
-     */
-    AttackConfig &
-    usePlatform(const std::string &name)
-    {
-        cores = std::max(
-            2u, sim::applyPlatform(name, platformName, platform, noise).cores);
-        return *this;
-    }
 };
 
 /** Experiment outcome. */

@@ -125,6 +125,22 @@ struct NoiseModel
                                     observer.timerJitterSigma, rng);
     }
 
+    /**
+     * The observer step of every offline measurement (calibration,
+     * attack probes): add the zero-mean measBaseSigma Gaussian, then
+     * route through observeDuration(), drawing in that order. Offline
+     * measurements thus pass the same resolution floor and jitter the
+     * live receiver's timestamps suffer, so a coarse-timer config
+     * cannot be beaten by calibrating with a secretly perfect clock.
+     */
+    double
+    observeOffline(double lat, Rng &rng) const
+    {
+        if (measBaseSigma > 0.0)
+            lat += rng.gaussian(0.0, measBaseSigma);
+        return observeDuration(lat, rng);
+    }
+
     /** Measurement sigma for a given sampling period in cycles. */
     double
     measSigma(Cycles samplingPeriod) const

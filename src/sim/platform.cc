@@ -1,5 +1,6 @@
 #include "sim/platform.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/log.hh"
@@ -264,6 +265,23 @@ platform(const std::string &name)
     }
     fatalf("platform: unknown platform \"", name, "\" (known: ", known,
            ")");
+}
+
+RunSpec::RunSpec(const char *preset, unsigned coreFloor)
+    : platformName(preset), coreFloor_(coreFloor)
+{
+    usePlatform(platformName);
+}
+
+RunSpec &
+RunSpec::usePlatform(const std::string &name)
+{
+    const Platform &p = sim::platform(name);
+    platformName = p.name;
+    platform = p.params;
+    noise = p.noise;
+    cores = std::max(coreFloor_, p.cores);
+    return *this;
 }
 
 std::vector<const Platform *>

@@ -11,12 +11,15 @@
  * contrast scenarios (a write-through-L1 ARM-style core, an
  * inclusive-LLC desktop part, a DAWG-partitioned variant); new
  * scenarios register at runtime via registerPlatform() without
- * touching the engine. See docs/PLATFORMS.md for the preset table.
+ * touching the engine. Every runner config derives from RunSpec, which
+ * resolves a preset by name. See docs/PLATFORMS.md for the preset
+ * table.
  */
 
 #ifndef WB_SIM_PLATFORM_HH
 #define WB_SIM_PLATFORM_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -78,21 +81,46 @@ std::vector<std::string> platformNames();
 void registerPlatform(Platform p);
 
 /**
- * Shared body of every config struct's usePlatform(): resolve
- * @p name (fatal on unknown) into the caller's platform-name record,
- * hierarchy parameters and noise model. @return the resolved preset,
- * for the fields (core count) only some configs carry.
+ * What every runner configuration shares: the machine it runs on and
+ * the run seed. Each config type derives from RunSpec and names its
+ * default preset and core floor; the constructor resolves that
+ * preset, so a default config is its named preset by construction.
+ * usePlatform() is the one place a config resolves a platform.
  */
-inline const Platform &
-applyPlatform(const std::string &name, std::string &platformName,
-              HierarchyParams &params, NoiseModel &noise)
+struct RunSpec
 {
-    const Platform &p = platform(name);
-    platformName = p.name;
-    params = p.params;
-    noise = p.noise;
-    return p;
-}
+    /**
+     * Registry preset the fields below were resolved from. Runners
+     * read the resolved parameters, so defenses and experiments can
+     * still tweak them after selecting a platform.
+     */
+    std::string platformName;
+    HierarchyParams platform; //!< geometry + latency model + defenses
+    NoiseModel noise;         //!< scheduling/measurement noise
+
+    /**
+     * Cores a multi-core runner instantiates: the preset's count,
+     * raised to the config type's floor (2 where the runner needs a
+     * sender and a receiver core). Single-core runners ignore it.
+     */
+    unsigned cores = 1;
+
+    std::uint64_t seed = 1; //!< run seed (bit-exact reproducible)
+
+    /**
+     * Reconfigure for a named registry preset: hierarchy parameters,
+     * noise model and core count. Fatal on an unknown name.
+     * @return *this, for chaining.
+     */
+    RunSpec &usePlatform(const std::string &name);
+
+  protected:
+    /** Resolve @p preset; cores never drop below @p coreFloor. */
+    RunSpec(const char *preset, unsigned coreFloor);
+
+  private:
+    unsigned coreFloor_;
+};
 
 } // namespace wb::sim
 

@@ -56,6 +56,14 @@ TEST(CrossCoreChannel, UsePlatformResolvesCores)
     EXPECT_EQ(cfg.cores, 2u);
 }
 
+TEST(CrossCoreChannel, OneCoreIsFatal)
+{
+    chan::CrossCoreChannelConfig cfg;
+    cfg.cores = 1;
+    EXPECT_EXIT(chan::runCrossCoreChannel(cfg),
+                ::testing::ExitedWithCode(1), "needs at least 2 cores, got 1");
+}
+
 TEST(CrossCoreChannel, InclusiveLlcCarriesTheChannel)
 {
     chan::CrossCoreChannelConfig cfg;
@@ -125,6 +133,18 @@ TEST(CrossCoreAttack, StoreGadgetRecoversSecrets)
     cfg.seed = 9;
     const auto res = sidechan::runAttack(cfg);
     EXPECT_GT(res.meanLatency1, res.meanLatency0 + 5.0);
+}
+
+TEST(CrossCoreAttack, OneCoreIsFatal)
+{
+    // No silent fallback to 2 cores: the victim and the attacker each
+    // need a core of their own.
+    sidechan::AttackConfig cfg;
+    cfg.usePlatform("desktop-inclusive-4core");
+    cfg.crossCore = true;
+    cfg.cores = 1;
+    EXPECT_EXIT(sidechan::runAttack(cfg), ::testing::ExitedWithCode(1),
+                "cross-core needs >= 2 cores .*got 1");
 }
 
 TEST(CrossCoreAttack, DirtyPrimeRecoversLoadSecrets)

@@ -9,7 +9,12 @@
 
 #include <algorithm>
 
+#include "baselines/framework.hh"
 #include "chan/channel.hh"
+#include "chan/cross_core.hh"
+#include "chan/l2_channel.hh"
+#include "chan/multiset.hh"
+#include "chan/tenant.hh"
 #include "common/rng.hh"
 #include "sidechan/attack.hh"
 #include "sim/hierarchy.hh"
@@ -184,6 +189,44 @@ TEST(Platform, AttackConfigUsePlatformResolves)
     cfg.usePlatform("desktop-inclusive");
     EXPECT_EQ(cfg.platformName, "desktop-inclusive");
     EXPECT_TRUE(cfg.platform.inclusiveLlc);
+}
+
+/**
+ * A default Config holds exactly its named preset, with cores raised
+ * to the type's floor, and re-resolving a single-core preset keeps
+ * that floor.
+ */
+template <class Config>
+void
+expectRunSpecResolves(const char *preset, unsigned coreFloor)
+{
+    Config cfg;
+    const Platform &p = platform(preset);
+    EXPECT_EQ(cfg.platformName, preset);
+    EXPECT_EQ(cfg.cores, std::max(coreFloor, p.cores));
+    EXPECT_EQ(cfg.seed, 1u);
+    EXPECT_EQ(cfg.platform.l1.sizeBytes, p.params.l1.sizeBytes);
+    EXPECT_EQ(cfg.platform.l1.writePolicy, p.params.l1.writePolicy);
+    EXPECT_EQ(cfg.platform.llc.sizeBytes, p.params.llc.sizeBytes);
+    EXPECT_EQ(cfg.platform.llcSlices, p.params.llcSlices);
+    EXPECT_EQ(cfg.platform.inclusiveLlc, p.params.inclusiveLlc);
+    EXPECT_EQ(cfg.noise.tscGranularity, p.noise.tscGranularity);
+    EXPECT_EQ(cfg.noise.measBaseSigma, p.noise.measBaseSigma);
+
+    cfg.usePlatform(kDefaultPlatform);
+    EXPECT_EQ(cfg.cores, coreFloor);
+}
+
+TEST(RunSpec, EveryDefaultConfigIsItsNamedPreset)
+{
+    expectRunSpecResolves<chan::ChannelConfig>(kDefaultPlatform, 1);
+    expectRunSpecResolves<chan::L2ChannelConfig>(kDefaultPlatform, 1);
+    expectRunSpecResolves<chan::MultiSetConfig>(kDefaultPlatform, 1);
+    expectRunSpecResolves<baselines::BaselineConfig>(kDefaultPlatform, 1);
+    expectRunSpecResolves<sidechan::AttackConfig>(kDefaultPlatform, 2);
+    expectRunSpecResolves<chan::CrossCoreChannelConfig>(
+        "desktop-inclusive-4core", 2);
+    expectRunSpecResolves<chan::TenantSweepConfig>("dc-sliced-64core", 2);
 }
 
 TEST(Platform, UsePlatformIsFatalOnUnknownName)

@@ -34,6 +34,16 @@ TEST(TenantSweepConfig, DefaultIsItsNamedPreset)
     EXPECT_EQ(def.platform.llc.ways, 16u);
 }
 
+TEST(TenantSweep, OneCoreIsFatal)
+{
+    TenantSweepConfig cfg;
+    cfg.usePlatform("dc-sliced-16core");
+    cfg.pairs = 2;
+    cfg.cores = 1;
+    EXPECT_EXIT(runTenantSweep(cfg), ::testing::ExitedWithCode(1),
+                "needs >= 2 cores, got 1");
+}
+
 TEST(TenantSweep, SmallSlicedSweepDiscoversAndTransmits)
 {
     TenantSweepConfig cfg;
