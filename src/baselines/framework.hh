@@ -31,8 +31,8 @@ namespace wb::baselines
 {
 
 /**
- * Configuration shared by every baseline channel. cores is unread:
- * runCrossCorePrimeProbe() takes its core count as a parameter.
+ * Configuration shared by every baseline channel (single core;
+ * runCrossCorePrimeProbe() takes its core count as a parameter).
  */
 struct BaselineConfig : sim::RunSpec
 {

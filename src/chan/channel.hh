@@ -28,7 +28,7 @@
 namespace wb::chan
 {
 
-/** Complete experiment configuration (single core; cores unread). */
+/** Complete experiment configuration (single core). */
 struct ChannelConfig : sim::RunSpec
 {
     ChannelConfig() : RunSpec(sim::kDefaultPlatform, 1) {}

@@ -46,6 +46,8 @@ namespace wb::chan
  */
 struct CrossCoreChannelConfig : sim::RunSpec
 {
+    using sim::RunSpec::cores;
+
     unsigned senderCore = 0;   //!< core the sender is pinned to
     unsigned receiverCore = 1; //!< core the receiver is pinned to
 

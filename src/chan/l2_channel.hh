@@ -30,7 +30,7 @@
 namespace wb::chan
 {
 
-/** L2-channel experiment configuration (single core; cores unread). */
+/** L2-channel experiment configuration (single core). */
 struct L2ChannelConfig : sim::RunSpec
 {
     L2ChannelConfig() : RunSpec(sim::kDefaultPlatform, 1) {}

@@ -20,7 +20,7 @@
 namespace wb::chan
 {
 
-/** Multi-set experiment configuration (single core; cores unread). */
+/** Multi-set experiment configuration (single core). */
 struct MultiSetConfig : sim::RunSpec
 {
     MultiSetConfig() : RunSpec(sim::kDefaultPlatform, 1) {}

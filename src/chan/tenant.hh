@@ -55,6 +55,7 @@ namespace wb::chan
 struct TenantSweepConfig : sim::RunSpec
 {
     TenantSweepConfig() : RunSpec("dc-sliced-64core", 2) {}
+    using sim::RunSpec::cores;
 
     /** Concurrent sender/receiver tenant pairs on the socket. */
     unsigned pairs = 64;

@@ -45,6 +45,7 @@ enum class Scenario
 struct AttackConfig : sim::RunSpec
 {
     AttackConfig() : RunSpec(sim::kDefaultPlatform, 2) {}
+    using sim::RunSpec::cores;
 
     Scenario scenario = Scenario::DirtyProbe;
     unsigned trials = 200;        //!< secrets to recover

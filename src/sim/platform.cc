@@ -273,7 +273,7 @@ RunSpec::RunSpec(const char *preset, unsigned coreFloor)
     usePlatform(platformName);
 }
 
-RunSpec &
+void
 RunSpec::usePlatform(const std::string &name)
 {
     const Platform &p = sim::platform(name);
@@ -281,7 +281,6 @@ RunSpec::usePlatform(const std::string &name)
     platform = p.params;
     noise = p.noise;
     cores = std::max(coreFloor_, p.cores);
-    return *this;
 }
 
 std::vector<const Platform *>

@@ -98,21 +98,24 @@ struct RunSpec
     HierarchyParams platform; //!< geometry + latency model + defenses
     NoiseModel noise;         //!< scheduling/measurement noise
 
+  protected:
     /**
      * Cores a multi-core runner instantiates: the preset's count,
      * raised to the config type's floor (2 where the runner needs a
-     * sender and a receiver core). Single-core runners ignore it.
+     * sender and a receiver core). Only the multi-core configs make
+     * it public (`using sim::RunSpec::cores;`); single-core configs
+     * have no cores field.
      */
     unsigned cores = 1;
 
+  public:
     std::uint64_t seed = 1; //!< run seed (bit-exact reproducible)
 
     /**
      * Reconfigure for a named registry preset: hierarchy parameters,
      * noise model and core count. Fatal on an unknown name.
-     * @return *this, for chaining.
      */
-    RunSpec &usePlatform(const std::string &name);
+    void usePlatform(const std::string &name);
 
   protected:
     /** Resolve @p preset; cores never drop below @p coreFloor. */

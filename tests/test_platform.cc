@@ -191,19 +191,14 @@ TEST(Platform, AttackConfigUsePlatformResolves)
     EXPECT_TRUE(cfg.platform.inclusiveLlc);
 }
 
-/**
- * A default Config holds exactly its named preset, with cores raised
- * to the type's floor, and re-resolving a single-core preset keeps
- * that floor.
- */
+/** A default Config holds exactly its named preset. */
 template <class Config>
 void
-expectRunSpecResolves(const char *preset, unsigned coreFloor)
+expectRunSpecResolves(const char *preset)
 {
     Config cfg;
     const Platform &p = platform(preset);
     EXPECT_EQ(cfg.platformName, preset);
-    EXPECT_EQ(cfg.cores, std::max(coreFloor, p.cores));
     EXPECT_EQ(cfg.seed, 1u);
     EXPECT_EQ(cfg.platform.l1.sizeBytes, p.params.l1.sizeBytes);
     EXPECT_EQ(cfg.platform.l1.writePolicy, p.params.l1.writePolicy);
@@ -212,22 +207,49 @@ expectRunSpecResolves(const char *preset, unsigned coreFloor)
     EXPECT_EQ(cfg.platform.inclusiveLlc, p.params.inclusiveLlc);
     EXPECT_EQ(cfg.noise.tscGranularity, p.noise.tscGranularity);
     EXPECT_EQ(cfg.noise.measBaseSigma, p.noise.measBaseSigma);
+}
 
+/**
+ * A default multi-core Config has its preset's cores raised to the
+ * floor of 2, and re-resolving a single-core preset keeps that floor.
+ */
+template <class Config>
+void
+expectCoresResolve(const char *preset)
+{
+    Config cfg;
+    EXPECT_EQ(cfg.cores, std::max(2u, platform(preset).cores));
     cfg.usePlatform(kDefaultPlatform);
-    EXPECT_EQ(cfg.cores, coreFloor);
+    EXPECT_EQ(cfg.cores, 2u);
 }
 
 TEST(RunSpec, EveryDefaultConfigIsItsNamedPreset)
 {
-    expectRunSpecResolves<chan::ChannelConfig>(kDefaultPlatform, 1);
-    expectRunSpecResolves<chan::L2ChannelConfig>(kDefaultPlatform, 1);
-    expectRunSpecResolves<chan::MultiSetConfig>(kDefaultPlatform, 1);
-    expectRunSpecResolves<baselines::BaselineConfig>(kDefaultPlatform, 1);
-    expectRunSpecResolves<sidechan::AttackConfig>(kDefaultPlatform, 2);
+    expectRunSpecResolves<chan::ChannelConfig>(kDefaultPlatform);
+    expectRunSpecResolves<chan::L2ChannelConfig>(kDefaultPlatform);
+    expectRunSpecResolves<chan::MultiSetConfig>(kDefaultPlatform);
+    expectRunSpecResolves<baselines::BaselineConfig>(kDefaultPlatform);
+    expectRunSpecResolves<sidechan::AttackConfig>(kDefaultPlatform);
     expectRunSpecResolves<chan::CrossCoreChannelConfig>(
-        "desktop-inclusive-4core", 2);
-    expectRunSpecResolves<chan::TenantSweepConfig>("dc-sliced-64core", 2);
+        "desktop-inclusive-4core");
+    expectRunSpecResolves<chan::TenantSweepConfig>("dc-sliced-64core");
+
+    expectCoresResolve<sidechan::AttackConfig>(kDefaultPlatform);
+    expectCoresResolve<chan::CrossCoreChannelConfig>(
+        "desktop-inclusive-4core");
+    expectCoresResolve<chan::TenantSweepConfig>("dc-sliced-64core");
 }
+
+/** Single-core configs carry no cores field a caller could set in vain. */
+template <class Config>
+constexpr bool hasPublicCores = requires(Config c) { c.cores; };
+static_assert(!hasPublicCores<chan::ChannelConfig>);
+static_assert(!hasPublicCores<chan::L2ChannelConfig>);
+static_assert(!hasPublicCores<chan::MultiSetConfig>);
+static_assert(!hasPublicCores<baselines::BaselineConfig>);
+static_assert(hasPublicCores<chan::CrossCoreChannelConfig>);
+static_assert(hasPublicCores<chan::TenantSweepConfig>);
+static_assert(hasPublicCores<sidechan::AttackConfig>);
 
 TEST(Platform, UsePlatformIsFatalOnUnknownName)
 {
