@@ -2,8 +2,9 @@
  * @file
  * Degraded-observer tests (sim/observer.hh, chan/degraded.hh): the
  * cycle-accurate path's bit-exact equivalence pin, the runner pins
- * (transport links, repetition decoder, L2/multi-set channels, the
- * Prime+Probe baselines, the Sec. IX attack and the tenant sweep),
+ * (transport links, repetition decoder, L2/multi-set channels, every
+ * baseline channel, the degraded-observer receivers, the detector
+ * traces, the Sec. IX attack and the tenant sweep),
  * the observer choke point's quantization guarantees, the
  * pending-write-back flush model, and the three observer classes'
  * end-to-end channel behaviour.
@@ -21,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/flush_channels.hh"
+#include "baselines/hit_hit_channel.hh"
+#include "baselines/lru_channel.hh"
 #include "baselines/prime_probe.hh"
 #include "chan/channel.hh"
 #include "chan/cross_core.hh"
@@ -28,6 +31,7 @@
 #include "chan/l2_channel.hh"
 #include "chan/multiset.hh"
 #include "chan/tenant.hh"
+#include "perfmon/detector.hh"
 #include "sidechan/attack.hh"
 #include "sim/hierarchy.hh"
 #include "sim/observer.hh"
@@ -448,6 +452,203 @@ TEST(RunnerPins, CrossCorePrimeProbeBitIdentical)
     {
         SCOPED_TRACE("receiver");
         expectCounters(r.receiverCounters, 14454, 0, 14017, 0, 0, 186429);
+    }
+}
+
+// ------------------------------------------------------------------
+// Paced-program pins: every sender, receiver and noise process runs
+// Algorithm 3's slot loop, and most of them had only statistical
+// tests. These fix each program's op stream end to end (latency FNV,
+// per-party counters, BER): the LRU, Hit+Hit and flush-family
+// baselines, the noise process, the Flushgeist and eviction-only WB
+// receivers, the multi-set pair with a message that ends mid-slot,
+// and the offline detector traces of every workload.
+// ------------------------------------------------------------------
+
+/** The pinned observables of one paced channel run. */
+struct RunPin
+{
+    double ber;
+    unsigned framesScored;
+    std::size_t samples;
+    std::uint64_t fnv;
+    std::uint64_t sender[6];   //!< expectCounters order
+    std::uint64_t receiver[6]; //!< expectCounters order
+};
+
+void
+expectRun(const ChannelResult &r, const RunPin &pin)
+{
+    EXPECT_DOUBLE_EQ(r.ber, pin.ber);
+    EXPECT_EQ(r.framesScored, pin.framesScored);
+    EXPECT_EQ(r.latencies.size(), pin.samples);
+    EXPECT_EQ(fnvLatencies(r.latencies), pin.fnv);
+    {
+        SCOPED_TRACE("sender");
+        const auto *c = pin.sender;
+        expectCounters(r.senderCounters, c[0], c[1], c[2], c[3], c[4], c[5]);
+    }
+    {
+        SCOPED_TRACE("receiver");
+        const auto *c = pin.receiver;
+        expectCounters(r.receiverCounters, c[0], c[1], c[2], c[3], c[4],
+                       c[5]);
+    }
+}
+
+baselines::BaselineConfig
+pinBaselineConfig(std::uint64_t seed)
+{
+    baselines::BaselineConfig cfg;
+    cfg.frames = 3;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST(RunnerPins, LruBurstBaselineBitIdentical)
+{
+    expectRun(baselines::runLruChannel(pinBaselineConfig(61)),
+              {0, 1, 436, 12374424041472930069ull,
+               {7931, 0, 160, 0, 0, 302213},
+               {3941, 0, 1273, 0, 0, 337824}});
+}
+
+TEST(RunnerPins, LruContinuousBaselineBitIdentical)
+{
+    expectRun(baselines::runLruChannel(pinBaselineConfig(67),
+                                       /*modulateCycles=*/0),
+              {1, 0, 438, 13023391213568214581ull,
+               {368218, 0, 110, 0, 0, 144587},
+               {3959, 0, 1876, 0, 0, 337867}});
+}
+
+TEST(RunnerPins, HitHitBaselineBitIdentical)
+{
+    expectRun(baselines::runHitHitChannel(pinBaselineConfig(71)),
+              {0.086309523809523808, 3, 429, 11322213900416993319ull,
+               {349196, 0, 2, 0, 0, 152158},
+               {27887, 0, 2, 0, 0, 320663}});
+}
+
+TEST(RunnerPins, FlushReloadBaselineBitIdentical)
+{
+    expectRun(baselines::runFlushChannel(pinBaselineConfig(73),
+                                         baselines::FlushKind::FlushReload),
+              {0.0625, 3, 437, 9714257661668963633ull,
+               {585, 0, 192, 0, 0, 301917},
+               {875, 0, 247, 0, 0, 332338}});
+}
+
+TEST(RunnerPins, FlushFlushBaselineBitIdentical)
+{
+    expectRun(baselines::runFlushChannel(pinBaselineConfig(79),
+                                         baselines::FlushKind::FlushFlush),
+              {0.0059523809523809521, 3, 438, 15711674706853270472ull,
+               {558, 0, 174, 0, 0, 297531},
+               {439, 0, 1, 0, 0, 339685}});
+}
+
+TEST(RunnerPins, CoherenceStateBaselineBitIdentical)
+{
+    expectRun(
+        baselines::runFlushChannel(pinBaselineConfig(83),
+                                   baselines::FlushKind::CoherenceState),
+        {0, 3, 438, 2476348878679880867ull,
+         {594, 174, 385, 0, 0, 296392},
+         {439, 0, 1, 0, 0, 339567}});
+}
+
+TEST(RunnerPins, NoisyPrimeProbeBaselineBitIdentical)
+{
+    // Two noise processes with mixed loads and stores: the per-burst
+    // store draws land in the run RNG between the parties' draws.
+    baselines::BaselineConfig cfg = pinBaselineConfig(89);
+    cfg.noiseProcesses = 2;
+    cfg.noiseCfg.period = 20000;
+    cfg.noiseCfg.burstLines = 2;
+    cfg.noiseCfg.storeFraction = 0.5;
+    expectRun(baselines::runPrimeProbeChannel(cfg),
+              {0.16369047619047619, 3, 438, 16139986558791401095ull,
+               {762, 0, 379, 0, 0, 302442},
+               {3959, 0, 869, 260, 0, 338397}});
+}
+
+TEST(RunnerPins, FlushLatencyChannelBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.usePlatform("desktop-inclusive");
+    cfg.noise.observer = sim::ObserverModel::flushLatency();
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 2;
+    cfg.seed = 97;
+    const ChannelResult r = runChannel(cfg);
+    EXPECT_EQ(r.simulatedCycles, 645019u);
+    expectRun(r, {0, 2, 115, 6331839813691347312ull,
+                  {64, 30, 31, 0, 0, 50383},
+                  {1306, 0, 1191, 30, 0, 84318}});
+}
+
+TEST(RunnerPins, EvictionOnlyChannelBitIdentical)
+{
+    ChannelConfig cfg;
+    cfg.noise.observer = sim::ObserverModel::evictionOnly();
+    cfg.protocol.frameBits = 32;
+    cfg.protocol.frames = 2;
+    cfg.seed = 101;
+    const ChannelResult r = runChannel(cfg);
+    EXPECT_TRUE(r.evictionDiscoveryVerified);
+    EXPECT_EQ(r.simulatedCycles, 646359u);
+    expectRun(r, {0, 2, 116, 2455039993905027188ull,
+                  {64, 34, 35, 0, 0, 50382},
+                  {3997, 0, 3419, 34, 0, 89304}});
+}
+
+TEST(RunnerPins, MultiSetMidSlotHaltBitIdentical)
+{
+    // 5 sets and 3 x 64 = 192 message bits: the last slot carries 2
+    // of its 5 bits, so the sender halts mid-slot.
+    MultiSetConfig cfg;
+    cfg.setCount = 5;
+    cfg.frameBits = 64;
+    cfg.frames = 3;
+    cfg.seed = 103;
+    const ChannelResult r = runMultiSetChannel(cfg);
+    EXPECT_EQ(r.simulatedCycles, 650251u);
+    expectRun(r, {0.15972222222222221, 3, 555, 4367938404369285939ull,
+                  {38, 372, 353, 0, 0, 29710},
+                  {5861, 0, 5751, 352, 0, 75555}});
+}
+
+/** FNV-1a over every feature of every window of a detector trace. */
+std::uint64_t
+fnvTrace(const std::vector<perfmon::WindowFeatures> &trace)
+{
+    std::vector<double> flat;
+    for (const perfmon::WindowFeatures &w : trace) {
+        flat.insert(flat.end(),
+                    {w.l1MissPerKcycle, w.writebacksPerKcycle,
+                     w.l2AccessPerKcycle, w.backInvalPerKcycle,
+                     w.snoopPerKcycle});
+    }
+    return fnvLatencies(flat);
+}
+
+TEST(RunnerPins, DetectorTracesBitIdentical)
+{
+    using perfmon::Workload;
+    const std::pair<Workload, std::uint64_t> pins[] = {
+        {Workload::Idle, 10352487401602346083ull},
+        {Workload::WbChannel, 12288708974437906959ull},
+        {Workload::WbChannelD8, 5347414509818515295ull},
+        {Workload::LruChannel, 3226239982044067455ull},
+        {Workload::CompilerPair, 1514096285691764424ull},
+        {Workload::Streaming, 14176223093695797911ull},
+    };
+    for (const auto &[workload, fnv] : pins) {
+        SCOPED_TRACE(perfmon::workloadName(workload));
+        const auto trace = perfmon::collectTrace(workload, 8, 200000, 107);
+        ASSERT_EQ(trace.size(), 8u);
+        EXPECT_EQ(fnvTrace(trace), fnv);
     }
 }
 
