@@ -59,6 +59,8 @@ L2SenderProgram::L2SenderProgram(std::vector<Addr> lines,
 std::optional<sim::MemOp>
 L2SenderProgram::next(sim::ProcView &)
 {
+    if (done_)
+        return sim::MemOp::halt(); // the last slot's spin has released
     switch (phase_) {
       case Phase::Init:
         return sim::MemOp::tscRead();
@@ -79,7 +81,6 @@ L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
     auto beginSlot = [this]() {
         if (bitIdx_ >= bits_.size()) {
             done_ = true;
-            phase_ = Phase::Wait; // final spin, then the run ends
             return;
         }
         lineIdx_ = 0;
@@ -105,11 +106,6 @@ L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
         }
         break;
       case sim::MemOp::Kind::SpinUntil:
-        if (done_) {
-            phase_ = Phase::Init; // unreachable; next() halts via done_
-            bits_.clear();
-            break;
-        }
         tlast_ = res.tsc;
         ++bitIdx_;
         beginSlot();
