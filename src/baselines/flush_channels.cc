@@ -30,133 +30,52 @@ flushKindName(FlushKind kind)
 
 FlushReceiver::FlushReceiver(Addr sharedLine, FlushKind kind, Cycles tr,
                              std::size_t sampleCount)
-    : line_(sharedLine), kind_(kind), tr_(tr), sampleCount_(sampleCount)
+    : SlotProgram(tr), line_(sharedLine), kind_(kind),
+      sampleCount_(sampleCount)
 {
 }
 
-std::optional<sim::MemOp>
-FlushReceiver::next(sim::ProcView &)
+bool
+FlushReceiver::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::MeasStart:
-        return sim::MemOp::tscRead();
-      case Phase::MeasOp:
-        return kind_ == FlushKind::FlushReload ? sim::MemOp::load(line_)
-                                               : sim::MemOp::flush(line_);
-      case Phase::MeasEnd:
-        return sim::MemOp::tscRead();
-      case Phase::CleanFlush:
-        return sim::MemOp::flush(line_);
-      case Phase::Done:
-        return sim::MemOp::halt();
+    if (slot == 0)
+        return true; // the first period only sets the pace
+    if (kind_ == FlushKind::FlushReload) {
+        // Timed reload, then the untimed clflush that resets the line.
+        pushTimed(sim::MemOp::load(line_));
+        push(sim::MemOp::flush(line_));
+    } else {
+        pushTimed(sim::MemOp::flush(line_));
     }
-    return sim::MemOp::halt();
+    return true;
 }
 
-void
-FlushReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
-                        sim::ProcView &)
+bool
+FlushReceiver::onSample(double cycles, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait:
-        tlast_ = res.tsc;
-        phase_ = Phase::MeasStart;
-        break;
-      case Phase::MeasStart:
-        tscStart_ = res.tsc;
-        phase_ = Phase::MeasOp;
-        break;
-      case Phase::MeasOp:
-        phase_ = Phase::MeasEnd;
-        break;
-      case Phase::MeasEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
-        if (samples_.size() >= sampleCount_)
-            phase_ = Phase::Done;
-        else if (kind_ == FlushKind::FlushReload)
-            phase_ = Phase::CleanFlush;
-        else
-            phase_ = Phase::Wait;
-        break;
-      case Phase::CleanFlush:
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
+    samples_.push_back(cycles);
+    return samples_.size() < sampleCount_;
 }
 
 FlushSender::FlushSender(Addr sharedLine, FlushKind kind,
                          std::vector<bool> bits, Cycles ts)
-    : line_(sharedLine), kind_(kind), bits_(std::move(bits)), ts_(ts)
+    : SlotProgram(ts), line_(sharedLine), kind_(kind), bits_(std::move(bits))
 {
 }
 
-std::optional<sim::MemOp>
-FlushSender::next(sim::ProcView &)
+bool
+FlushSender::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Touch: {
-        const bool one = bits_[bitIdx_];
-        if (kind_ == FlushKind::CoherenceState) {
-            // M (dirty) for 1, shared/clean for 0.
-            return one ? sim::MemOp::store(line_) : sim::MemOp::load(line_);
-        }
-        // FlushReload / FlushFlush: touch for 1 (never reached for 0;
-        // beginSlot routes 0-bits straight to Wait).
-        return sim::MemOp::load(line_);
-      }
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
+    if (slot >= bits_.size())
+        return false;
+    const bool one = bits_[slot];
+    if (kind_ == FlushKind::CoherenceState) {
+        // Touch on every bit: M (dirty) for 1, shared/clean for 0.
+        push(one ? sim::MemOp::store(line_) : sim::MemOp::load(line_));
+    } else if (one) {
+        push(sim::MemOp::load(line_)); // the others touch on 1-bits only
     }
-    return sim::MemOp::halt();
-}
-
-void
-FlushSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                      sim::ProcView &)
-{
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size()) {
-            phase_ = Phase::Done;
-        } else if (kind_ == FlushKind::CoherenceState || bits_[bitIdx_]) {
-            // The coherence channel touches on every bit (load vs
-            // store); the others only on 1-bits.
-            phase_ = Phase::Touch;
-        } else {
-            phase_ = Phase::Wait;
-        }
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::Load:
-      case sim::MemOp::Kind::Store:
-        phase_ = Phase::Wait;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
-    }
+    return true;
 }
 
 bool

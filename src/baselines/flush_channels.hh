@@ -52,7 +52,7 @@ bool flushChannelAvailable(const BaselineConfig &cfg);
  * reload followed by clflush (FlushReload), or a timed clflush
  * (FlushFlush / CoherenceState).
  */
-class FlushReceiver : public sim::Program, public LatencySource
+class FlushReceiver : public chan::SlotProgram, public LatencySource
 {
   public:
     /**
@@ -65,32 +65,15 @@ class FlushReceiver : public sim::Program, public LatencySource
     FlushReceiver(Addr sharedLine, FlushKind kind, Cycles tr,
                   std::size_t sampleCount);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     std::vector<double> latencies() const override { return samples_; }
 
   private:
-    enum class Phase
-    {
-        InitTsc,
-        Wait,
-        MeasStart, //!< TscRead
-        MeasOp,    //!< timed Load (FlushReload) or Flush (others)
-        MeasEnd,   //!< TscRead
-        CleanFlush, //!< FlushReload: untimed clflush after measuring
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
     Addr line_;
     FlushKind kind_;
-    Cycles tr_;
     std::size_t sampleCount_;
-
-    Phase phase_ = Phase::InitTsc;
-    Cycles tlast_ = 0;
-    Cycles tscStart_ = 0;
     std::vector<double> samples_;
 };
 
@@ -98,7 +81,7 @@ class FlushReceiver : public sim::Program, public LatencySource
  * Sender for the flush-family channels: touches (or, for the coherence
  * channel, stores to) the shared line to send 1.
  */
-class FlushSender : public sim::Program
+class FlushSender : public chan::SlotProgram
 {
   public:
     /**
@@ -111,27 +94,12 @@ class FlushSender : public sim::Program
     FlushSender(Addr sharedLine, FlushKind kind, std::vector<bool> bits,
                 Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Touch,
-        Wait,
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     Addr line_;
     FlushKind kind_;
     std::vector<bool> bits_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t bitIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /** Run one of the flush-family channels end to end. */

@@ -22,6 +22,7 @@
 #include "chan/channel.hh"
 #include "chan/noise_process.hh"
 #include "chan/protocol.hh"
+#include "chan/slot_program.hh"
 #include "sim/hierarchy.hh"
 #include "sim/noise_model.hh"
 #include "sim/platform.hh"

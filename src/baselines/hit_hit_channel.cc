@@ -7,117 +7,47 @@ namespace wb::baselines
 
 HitHitReceiver::HitHitReceiver(Addr line, unsigned burst, Cycles tr,
                                std::size_t sampleCount)
-    : line_(line), burst_(burst), tr_(tr), sampleCount_(sampleCount)
+    : SlotProgram(tr), line_(line), burst_(burst), sampleCount_(sampleCount)
 {
     if (burst_ == 0)
         fatalf("HitHitReceiver: burst must be positive");
+    push(sim::MemOp::load(line_)); // warm the hot line
 }
 
-std::optional<sim::MemOp>
-HitHitReceiver::next(sim::ProcView &)
+bool
+HitHitReceiver::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warm:
-        return sim::MemOp::load(line_);
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::MeasStart:
-        return sim::MemOp::tscRead();
-      case Phase::Burst:
-        return sim::MemOp::load(line_);
-      case Phase::MeasEnd:
-        return sim::MemOp::tscRead();
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
+    if (slot == 0)
+        return true; // the first period only sets the pace
+    // Scalar loads: each one rolls its own port-contention window,
+    // which is the signal (a batch would roll it once).
+    push(sim::MemOp::tscRead());
+    for (unsigned i = 0; i < burst_; ++i)
+        push(sim::MemOp::load(line_));
+    push(sim::MemOp::tscRead());
+    return true;
 }
 
-void
-HitHitReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
-                         sim::ProcView &)
+bool
+HitHitReceiver::onSample(double cycles, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warm:
-        phase_ = Phase::InitTsc;
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait:
-        tlast_ = res.tsc;
-        phase_ = Phase::MeasStart;
-        break;
-      case Phase::MeasStart:
-        tscStart_ = res.tsc;
-        pos_ = 0;
-        phase_ = Phase::Burst;
-        break;
-      case Phase::Burst:
-        ++pos_;
-        if (pos_ >= burst_)
-            phase_ = Phase::MeasEnd;
-        break;
-      case Phase::MeasEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
-        phase_ = samples_.size() >= sampleCount_ ? Phase::Done
-                                                 : Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
+    samples_.push_back(cycles);
+    return samples_.size() < sampleCount_;
 }
 
 HitHitSender::HitHitSender(Addr line, std::vector<bool> bits, Cycles ts)
-    : line_(line), bits_(std::move(bits)), ts_(ts)
+    : SlotProgram(ts), line_(line), bits_(std::move(bits))
 {
 }
 
-std::optional<sim::MemOp>
-HitHitSender::next(sim::ProcView &view)
+bool
+HitHitSender::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Hammer:
-        if (view.now() < tlast_ + ts_)
-            return sim::MemOp::pipelinedLoad(line_);
-        return sim::MemOp::spinUntil(tlast_ + ts_); // 0-length: rebase
-      case Phase::Spin:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-HitHitSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                       sim::ProcView &)
-{
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size())
-            phase_ = Phase::Done;
-        else
-            phase_ = bits_[bitIdx_] ? Phase::Hammer : Phase::Spin;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
-    }
+    if (slot >= bits_.size())
+        return false;
+    if (bits_[slot])
+        pushUntil(sim::MemOp::pipelinedLoad(line_), tlast() + period());
+    return true;
 }
 
 BaselineResult

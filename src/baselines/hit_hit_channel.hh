@@ -23,7 +23,7 @@ namespace wb::baselines
 {
 
 /** Receiver: times a burst of same-line L1 hits every slot. */
-class HitHitReceiver : public sim::Program, public LatencySource
+class HitHitReceiver : public chan::SlotProgram, public LatencySource
 {
   public:
     /**
@@ -35,38 +35,20 @@ class HitHitReceiver : public sim::Program, public LatencySource
     HitHitReceiver(Addr line, unsigned burst, Cycles tr,
                    std::size_t sampleCount);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     std::vector<double> latencies() const override { return samples_; }
 
   private:
-    enum class Phase
-    {
-        Warm,
-        InitTsc,
-        Wait,
-        MeasStart,
-        Burst,
-        MeasEnd,
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
     Addr line_;
     unsigned burst_;
-    Cycles tr_;
     std::size_t sampleCount_;
-
-    Phase phase_ = Phase::Warm;
-    unsigned pos_ = 0;
-    Cycles tlast_ = 0;
-    Cycles tscStart_ = 0;
     std::vector<double> samples_;
 };
 
 /** Sender: hammers loads all slot for 1, spins for 0. */
-class HitHitSender : public sim::Program
+class HitHitSender : public chan::SlotProgram
 {
   public:
     /**
@@ -76,26 +58,11 @@ class HitHitSender : public sim::Program
      */
     HitHitSender(Addr line, std::vector<bool> bits, Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Hammer,
-        Spin,
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     Addr line_;
     std::vector<bool> bits_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t bitIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /**

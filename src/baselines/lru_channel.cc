@@ -8,7 +8,7 @@ namespace wb::baselines
 
 LruReceiver::LruReceiver(std::vector<Addr> lines, Cycles tr,
                          std::size_t sampleCount)
-    : lines_(std::move(lines)), tr_(tr), sampleCount_(sampleCount)
+    : SlotProgram(tr), lines_(std::move(lines)), sampleCount_(sampleCount)
 {
     if (lines_.size() < 4 || lines_.size() % 2 != 0)
         fatalf("LruReceiver: needs an even number (>=4) of lines");
@@ -17,135 +17,50 @@ LruReceiver::LruReceiver(std::vector<Addr> lines, Cycles tr,
     for (int sweep = 0; sweep < 2; ++sweep)
         warmupOrder_.insert(warmupOrder_.end(), lines_.begin(),
                             lines_.end());
+    push(sim::MemOp::loadBatch(warmupOrder_.data(), warmupOrder_.size()));
 }
 
-std::optional<sim::MemOp>
-LruReceiver::next(sim::ProcView &)
+bool
+LruReceiver::beginSlot(std::size_t slot, sim::ProcView &)
 {
+    if (slot == 0)
+        return true; // the first period only sets the pace
+    // The decode half is contiguous in lines_: one batched sweep. Then
+    // time line 0 and re-access the init half (lines 1..W/2-1).
     const std::size_t half = lines_.size() / 2;
-    switch (phase_) {
-      case Phase::Warmup:
-        if (!warmupDone_) {
-            warmupDone_ = true;
-            return sim::MemOp::loadBatch(warmupOrder_.data(),
-                                         warmupOrder_.size());
-        }
-        phase_ = Phase::InitTsc;
-        return sim::MemOp::tscRead();
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::DecodeHalf:
-        // The decode half is contiguous in lines_: one batched sweep.
-        return sim::MemOp::loadBatch(lines_.data() + half, half);
-      case Phase::MeasStart:
-        return sim::MemOp::tscRead();
-      case Phase::MeasLoad:
-        return sim::MemOp::load(lines_[0]);
-      case Phase::MeasEnd:
-        return sim::MemOp::tscRead();
-      case Phase::Refill:
-        return sim::MemOp::loadBatch(lines_.data() + 1, half - 1);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
+    push(sim::MemOp::loadBatch(lines_.data() + half, half));
+    pushTimed(sim::MemOp::load(lines_[0]));
+    push(sim::MemOp::loadBatch(lines_.data() + 1, half - 1));
+    return true;
 }
 
-void
-LruReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                      sim::ProcView &)
+bool
+LruReceiver::onSample(double cycles, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        // The warm-up batch completed; next() moves on to InitTsc.
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait:
-        tlast_ = res.tsc;
-        phase_ = Phase::DecodeHalf;
-        break;
-      case Phase::DecodeHalf:
-        phase_ = Phase::MeasStart;
-        break;
-      case Phase::MeasStart:
-        tscStart_ = res.tsc;
-        phase_ = Phase::MeasLoad;
-        break;
-      case Phase::MeasLoad:
-        phase_ = Phase::MeasEnd;
-        break;
-      case Phase::MeasEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
-        phase_ = samples_.size() >= sampleCount_ ? Phase::Done
-                                                 : Phase::Refill;
-        break;
-      case Phase::Refill:
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
-    (void)op;
+    samples_.push_back(cycles);
+    return samples_.size() < sampleCount_;
 }
 
 LruSender::LruSender(Addr line, std::vector<bool> bits, Cycles ts,
                      Cycles modulateCycles)
-    : line_(line), bits_(std::move(bits)), ts_(ts),
+    : SlotProgram(ts), line_(line), bits_(std::move(bits)),
       modulateCycles_(modulateCycles == 0 || modulateCycles > ts
                           ? ts
                           : modulateCycles)
 {
 }
 
-std::optional<sim::MemOp>
-LruSender::next(sim::ProcView &view)
+bool
+LruSender::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Modulate:
-        if (view.now() < tlast_ + modulateCycles_)
-            return sim::MemOp::pipelinedLoad(line_);
-        phase_ = Phase::SpinRest;
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::SpinRest:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-LruSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                    sim::ProcView &)
-{
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size())
-            phase_ = Phase::Done;
-        else
-            phase_ = bits_[bitIdx_] ? Phase::Modulate : Phase::SpinRest;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        // Slot ended (Algorithm 3: Tlast = post-spin TSC).
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
-    }
+    if (slot >= bits_.size())
+        return false;
+    // Bit 1: a tight load loop for the burst window, then spin out
+    // the rest of the slot.
+    if (bits_[slot])
+        pushUntil(sim::MemOp::pipelinedLoad(line_),
+                  tlast() + modulateCycles_);
+    return true;
 }
 
 BaselineResult

@@ -26,7 +26,7 @@ namespace wb::baselines
 {
 
 /** Receiver of the LRU channel (init half + decode half + timed line). */
-class LruReceiver : public sim::Program, public LatencySource
+class LruReceiver : public chan::SlotProgram, public LatencySource
 {
   public:
     /**
@@ -38,40 +38,20 @@ class LruReceiver : public sim::Program, public LatencySource
     LruReceiver(std::vector<Addr> lines, Cycles tr,
                 std::size_t sampleCount);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     std::vector<double> latencies() const override { return samples_; }
 
   private:
-    enum class Phase
-    {
-        Warmup,     //!< one batched double sweep
-        InitTsc,
-        Wait,
-        DecodeHalf, //!< batched sweep of lines W/2..W-1
-        MeasStart,  //!< TscRead
-        MeasLoad,   //!< timed load of lines[0]
-        MeasEnd,    //!< TscRead
-        Refill,     //!< batched re-access of lines 1..W/2-1
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
-    Cycles tr_;
     std::size_t sampleCount_;
-
-    Phase phase_ = Phase::Warmup;
     std::vector<Addr> warmupOrder_; //!< two full sweeps, batched
-    bool warmupDone_ = false;
-    Cycles tlast_ = 0;
-    Cycles tscStart_ = 0;
     std::vector<double> samples_;
 };
 
 /** Sender of the LRU channel. */
-class LruSender : public sim::Program
+class LruSender : public chan::SlotProgram
 {
   public:
     /**
@@ -89,27 +69,12 @@ class LruSender : public sim::Program
     LruSender(Addr line, std::vector<bool> bits, Cycles ts,
               Cycles modulateCycles = 150);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Modulate, //!< bit 1: tight load loop for the burst window
-        SpinRest, //!< busy-wait for the remainder of the slot
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     Addr line_;
     std::vector<bool> bits_;
-    Cycles ts_;
     Cycles modulateCycles_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t bitIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /**

@@ -13,7 +13,7 @@ namespace wb::baselines
 PrimeProbeReceiver::PrimeProbeReceiver(std::vector<Addr> lines, Cycles tr,
                                        std::size_t sampleCount,
                                        bool reprimeEachSlot)
-    : lines_(std::move(lines)), tr_(tr), sampleCount_(sampleCount),
+    : SlotProgram(tr), lines_(std::move(lines)), sampleCount_(sampleCount),
       reprimeEachSlot_(reprimeEachSlot)
 {
     if (lines_.empty())
@@ -23,141 +23,55 @@ PrimeProbeReceiver::PrimeProbeReceiver(std::vector<Addr> lines, Cycles tr,
     for (int sweep = 0; sweep < 2; ++sweep)
         warmupOrder_.insert(warmupOrder_.end(), lines_.begin(),
                             lines_.end());
+    push(sim::MemOp::loadBatch(warmupOrder_.data(), warmupOrder_.size()));
     probeOrder_ = lines_;
 }
 
-std::optional<sim::MemOp>
-PrimeProbeReceiver::next(sim::ProcView &)
+bool
+PrimeProbeReceiver::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        if (!warmupDone_) {
-            warmupDone_ = true;
-            return sim::MemOp::loadBatch(warmupOrder_.data(),
-                                         warmupOrder_.size());
-        }
-        phase_ = Phase::InitTsc;
-        return sim::MemOp::tscRead();
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::ProbeStart:
-        return sim::MemOp::tscRead();
-      case Phase::Probe:
-        return sim::MemOp::loadBatch(probeOrder_.data(),
-                                     probeOrder_.size());
-      case Phase::ProbeEnd:
-        return sim::MemOp::tscRead();
-      case Phase::Reprime:
-        return sim::MemOp::loadBatch(lines_.data(), lines_.size());
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
+    if (slot == 0)
+        return true; // the first period only sets the pace
+    // Walk the probe in the reverse of the previous traversal order
+    // (the anti-thrashing trick of paper Sec. VI-A). With a per-slot
+    // re-prime the set state is canonical at every probe, and
+    // reversing would only oscillate the baseline: keep the forward
+    // order then.
+    probeOrder_.assign(lines_.begin(), lines_.end());
+    if (!forward_ && !reprimeEachSlot_)
+        std::reverse(probeOrder_.begin(), probeOrder_.end());
+    pushTimed(sim::MemOp::loadBatch(probeOrder_.data(), probeOrder_.size()));
+    if (reprimeEachSlot_)
+        push(sim::MemOp::loadBatch(lines_.data(), lines_.size()));
+    return true;
 }
 
-void
-PrimeProbeReceiver::onResult(const sim::MemOp &, const sim::OpResult &res,
-                             sim::ProcView &)
+bool
+PrimeProbeReceiver::onSample(double cycles, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        // The warm-up batch completed; next() moves on to InitTsc.
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait: {
-        tlast_ = res.tsc;
-        // Walk the probe in the reverse of the previous traversal
-        // order (the anti-thrashing trick of paper Sec. VI-A). With a
-        // per-slot re-prime the set state is canonical at every probe,
-        // and reversing would only oscillate the baseline: keep the
-        // forward order then.
-        probeOrder_.assign(lines_.begin(), lines_.end());
-        if (!forward_ && !reprimeEachSlot_)
-            std::reverse(probeOrder_.begin(), probeOrder_.end());
-        phase_ = Phase::ProbeStart;
-        break;
-      }
-      case Phase::ProbeStart:
-        tscStart_ = res.tsc;
-        phase_ = Phase::Probe;
-        break;
-      case Phase::Probe:
-        phase_ = Phase::ProbeEnd;
-        break;
-      case Phase::ProbeEnd:
-        samples_.push_back(static_cast<double>(res.tsc - tscStart_));
-        forward_ = !forward_; // reverse traversal next slot
-        if (samples_.size() >= sampleCount_)
-            phase_ = Phase::Done;
-        else
-            phase_ = reprimeEachSlot_ ? Phase::Reprime : Phase::Wait;
-        break;
-      case Phase::Reprime:
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Done:
-        break;
-    }
+    samples_.push_back(cycles);
+    forward_ = !forward_; // reverse traversal next slot
+    return samples_.size() < sampleCount_;
 }
 
 PrimeProbeSender::PrimeProbeSender(std::vector<Addr> lines,
                                    unsigned linesPerOne,
                                    std::vector<bool> bits, Cycles ts)
-    : lines_(std::move(lines)), linesPerOne_(linesPerOne),
-      bits_(std::move(bits)), ts_(ts)
+    : SlotProgram(ts), lines_(std::move(lines)), linesPerOne_(linesPerOne),
+      bits_(std::move(bits))
 {
     if (linesPerOne_ > lines_.size())
         fatalf("PrimeProbeSender: linesPerOne exceeds line pool");
 }
 
-std::optional<sim::MemOp>
-PrimeProbeSender::next(sim::ProcView &)
+bool
+PrimeProbeSender::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Touch:
-        return sim::MemOp::loadBatch(lines_.data(), linesPerOne_);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-PrimeProbeSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                           sim::ProcView &)
-{
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size())
-            phase_ = Phase::Done;
-        else
-            phase_ = bits_[bitIdx_] ? Phase::Touch : Phase::Wait;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::LoadBatch:
-        phase_ = Phase::Wait;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
-    }
+    if (slot >= bits_.size())
+        return false;
+    if (bits_[slot])
+        push(sim::MemOp::loadBatch(lines_.data(), linesPerOne_));
+    return true;
 }
 
 BaselineResult

@@ -19,7 +19,7 @@ namespace wb::baselines
 {
 
 /** Prime+Probe receiver: timed whole-set probe each slot. */
-class PrimeProbeReceiver : public sim::Program, public LatencySource
+class PrimeProbeReceiver : public chan::SlotProgram, public LatencySource
 {
   public:
     /**
@@ -37,42 +37,24 @@ class PrimeProbeReceiver : public sim::Program, public LatencySource
                        std::size_t sampleCount,
                        bool reprimeEachSlot = false);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     std::vector<double> latencies() const override { return samples_; }
 
   private:
-    enum class Phase
-    {
-        Warmup,     //!< one batched double sweep
-        InitTsc,
-        Wait,
-        ProbeStart, //!< TscRead
-        Probe,      //!< batched W-load sweep, reverse order per slot
-        ProbeEnd,   //!< TscRead
-        Reprime,    //!< untimed restore sweep (reprimeEachSlot)
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
-    Cycles tr_;
     std::size_t sampleCount_;
     bool reprimeEachSlot_;
 
-    Phase phase_ = Phase::Warmup;
     std::vector<Addr> warmupOrder_; //!< two full sweeps, batched
     std::vector<Addr> probeOrder_;  //!< this slot's traversal order
-    bool warmupDone_ = false;
     bool forward_ = true;
-    Cycles tlast_ = 0;
-    Cycles tscStart_ = 0;
     std::vector<double> samples_;
 };
 
 /** Prime+Probe sender: one burst of accesses per 1-bit. */
-class PrimeProbeSender : public sim::Program
+class PrimeProbeSender : public chan::SlotProgram
 {
   public:
     /**
@@ -84,27 +66,12 @@ class PrimeProbeSender : public sim::Program
     PrimeProbeSender(std::vector<Addr> lines, unsigned linesPerOne,
                      std::vector<bool> bits, Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Touch, //!< bit 1: one batched sweep of linesPerOne lines
-        Wait,
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
     unsigned linesPerOne_;
     std::vector<bool> bits_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t bitIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /** Run the Prime+Probe covert channel end to end. */

@@ -93,23 +93,19 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
     // write-back queue through timed clflush; everyone else times the
     // replacement-set chase (the eviction-only observer's receiver is
     // the load-timing one — it never flushes).
-    std::optional<ReceiverProgram> loadReceiver;
-    std::optional<FlushLatencyReceiverProgram> flushReceiver;
-    sim::Program *receiver = nullptr;
-    if (obs.cls == sim::ObserverClass::FlushLatency) {
-        flushReceiver.emplace(sets.replacementA, sets.replacementB,
-                              proto.tr, schedule.sampleCount);
-        receiver = &*flushReceiver;
-    } else {
-        loadReceiver.emplace(sets.replacementA, sets.replacementB,
-                             proto.tr, schedule.sampleCount);
-        receiver = &*loadReceiver;
-    }
+    const std::unique_ptr<ReceiverProgram> receiver =
+        obs.cls == sim::ObserverClass::FlushLatency
+            ? std::make_unique<FlushLatencyReceiverProgram>(
+                  sets.replacementA, sets.replacementB, proto.tr,
+                  schedule.sampleCount)
+            : std::make_unique<ReceiverProgram>(
+                  sets.replacementA, sets.replacementB, proto.tr,
+                  schedule.sampleCount);
 
     const ThreadId senderTid = core.addThread(&sender, sim::AddressSpace(1),
                                               schedule.senderStart);
     const ThreadId receiverTid =
-        core.addThread(receiver, sim::AddressSpace(2), 0);
+        core.addThread(receiver.get(), sim::AddressSpace(2), 0);
 
     // --- Optional co-resident noise processes (Sec. VI) ---
     std::vector<std::unique_ptr<NoiseProcess>> noisePrograms;
@@ -128,8 +124,7 @@ runRawSequence(const ChannelConfig &cfg, const std::vector<unsigned> &dSeq)
               : core.run(schedule.horizon);
 
     RawRun raw;
-    raw.latencies = flushReceiver ? flushReceiver->latencies()
-                                  : loadReceiver->latencies();
+    raw.latencies = receiver->latencies();
     raw.discoveryVerified = discoveryVerified;
     raw.simulatedCycles = end;
     raw.senderCounters = hierarchy.counters(senderTid);

@@ -130,55 +130,18 @@ ChannelSets discoverChannelSets(sim::Hierarchy &hierarchy, ThreadId tid,
  * set untimed (evicting whatever dirty lines the sender left in the
  * target set into the write-back queue), then time a single clflush
  * of a probe line — its latency carries the queued write-backs'
- * drain. Composes with the coarse-timer observer (dither delay before
- * the timed section, same as ReceiverProgram).
+ * drain. Paced, warmed up and recorded exactly like ReceiverProgram;
+ * only the slot's timed section differs. Composes with the
+ * coarse-timer observer (dither delay before the timed section).
  */
-class FlushLatencyReceiverProgram : public sim::Program
+class FlushLatencyReceiverProgram : public ReceiverProgram
 {
   public:
-    FlushLatencyReceiverProgram(std::vector<Addr> replacementA,
-                                std::vector<Addr> replacementB, Cycles tr,
-                                std::size_t sampleCount,
-                                unsigned warmupSweeps = 2);
-
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /** The recorded flush latencies (valid after the run). */
-    const std::vector<double> &latencies() const { return latencies_; }
-
-    /** True once sampleCount observations were recorded. */
-    bool done() const { return done_; }
+    using ReceiverProgram::ReceiverProgram;
 
   private:
-    enum class Phase
-    {
-        Warmup,  //!< untimed batched sweeps of A and B
-        Init,    //!< read TSC once to establish Tlast
-        Wait,    //!< spin until Tlast + Tr
-        Measure, //!< prime, [dither], TscRead, Flush, TscRead
-        Done
-    };
-
-    std::vector<Addr> setA_;
-    std::vector<Addr> setB_;
-    Cycles tr_;
-    std::size_t sampleCount_;
-    std::vector<Addr> warmupOrder_;
-
-    Phase phase_ = Phase::Warmup;
-    bool useA_ = true;
-    bool warmupDone_ = false;
-
-    std::vector<sim::MemOp> measureOps_;
-    std::size_t measurePos_ = 0;
-    Cycles tscStart_ = 0;
-    bool sawFirstTsc_ = false;
-
-    Cycles tlast_ = 0;
-    std::vector<double> latencies_;
-    bool done_ = false;
+    void queueMeasurement(PointerChase &chase,
+                          sim::ProcView &view) override;
 };
 
 } // namespace wb::chan

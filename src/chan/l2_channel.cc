@@ -46,8 +46,8 @@ L2SenderProgram::L2SenderProgram(std::vector<Addr> lines,
                                  std::vector<Addr> pushers,
                                  std::vector<bool> bits, unsigned d,
                                  Cycles ts)
-    : lines_(std::move(lines)), pushers_(std::move(pushers)),
-      bits_(std::move(bits)), d_(d), ts_(ts)
+    : SlotProgram(ts), lines_(std::move(lines)),
+      pushers_(std::move(pushers)), bits_(std::move(bits)), d_(d)
 {
     if (d_ > lines_.size())
         fatalf("L2SenderProgram: needs ", d_, " lines, got ",
@@ -56,63 +56,21 @@ L2SenderProgram::L2SenderProgram(std::vector<Addr> lines,
         fatalf("L2SenderProgram: needs pusher lines");
 }
 
-std::optional<sim::MemOp>
-L2SenderProgram::next(sim::ProcView &)
+bool
+L2SenderProgram::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    if (done_)
-        return sim::MemOp::halt(); // the last slot's spin has released
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Store:
-        return sim::MemOp::store(lines_[lineIdx_]);
-      case Phase::Push:
-        return sim::MemOp::load(pushers_[pushIdx_]);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-    }
-    return sim::MemOp::halt();
-}
-
-void
-L2SenderProgram::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                          sim::ProcView &)
-{
-    auto beginSlot = [this]() {
-        if (bitIdx_ >= bits_.size()) {
-            done_ = true;
-            return;
+    if (slot >= bits_.size())
+        return false;
+    if (bits_[slot]) {
+        for (unsigned i = 0; i < d_; ++i) {
+            // Dirty the line in L1, then sweep the pushers to force
+            // its write-back into the target L2 set.
+            push(sim::MemOp::store(lines_[i]));
+            for (Addr pusher : pushers_)
+                push(sim::MemOp::load(pusher));
         }
-        lineIdx_ = 0;
-        pushIdx_ = 0;
-        phase_ = bits_[bitIdx_] ? Phase::Store : Phase::Wait;
-    };
-
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        beginSlot();
-        break;
-      case sim::MemOp::Kind::Store:
-        pushIdx_ = 0;
-        phase_ = Phase::Push;
-        break;
-      case sim::MemOp::Kind::Load:
-        ++pushIdx_;
-        if (pushIdx_ >= pushers_.size()) {
-            // This line's write-back has been forced into L2.
-            ++lineIdx_;
-            phase_ = lineIdx_ < d_ ? Phase::Store : Phase::Wait;
-        }
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++bitIdx_;
-        beginSlot();
-        break;
-      default:
-        break;
     }
+    return true;
 }
 
 namespace

@@ -26,6 +26,7 @@
 #define WB_CHAN_L2_CHANNEL_HH
 
 #include "chan/channel.hh"
+#include "chan/slot_program.hh"
 
 namespace wb::chan
 {
@@ -54,7 +55,7 @@ struct L2ChannelConfig : sim::RunSpec
  * Sender for the L2 channel: per 1-bit, writes d target-set lines and
  * evicts each from L1 through the pusher sweep.
  */
-class L2SenderProgram : public sim::Program
+class L2SenderProgram : public SlotProgram
 {
   public:
     /**
@@ -67,34 +68,13 @@ class L2SenderProgram : public sim::Program
     L2SenderProgram(std::vector<Addr> lines, std::vector<Addr> pushers,
                     std::vector<bool> bits, unsigned d, Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /** True once every bit was modulated. */
-    bool done() const { return done_; }
-
   private:
-    enum class Phase
-    {
-        Init,
-        Store, //!< dirty the next target line in L1
-        Push,  //!< sweep pushers to force the write-back into L2
-        Wait
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
     std::vector<Addr> pushers_;
     std::vector<bool> bits_;
     unsigned d_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t bitIdx_ = 0;
-    unsigned lineIdx_ = 0;
-    unsigned pushIdx_ = 0;
-    Cycles tlast_ = 0;
-    bool done_ = false;
 };
 
 /** Result bundle (same shape as the L1 channel's). */

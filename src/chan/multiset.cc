@@ -1,6 +1,7 @@
 #include "chan/multiset.hh"
 
 #include "chan/calibration.hh"
+#include "chan/receiver.hh"
 #include "chan/set_mapping.hh"
 #include "common/log.hh"
 #include "sim/smt_core.hh"
@@ -11,8 +12,8 @@ namespace wb::chan
 MultiSetSender::MultiSetSender(std::vector<std::vector<Addr>> linePools,
                                std::vector<bool> bits, unsigned d,
                                Cycles ts)
-    : pools_(std::move(linePools)), bits_(std::move(bits)), d_(d),
-      ts_(ts)
+    : SlotProgram(ts), pools_(std::move(linePools)), bits_(std::move(bits)),
+      d_(d)
 {
     if (pools_.empty())
         fatalf("MultiSetSender: needs at least one set pool");
@@ -21,176 +22,74 @@ MultiSetSender::MultiSetSender(std::vector<std::vector<Addr>> linePools,
             fatalf("MultiSetSender: pool smaller than d");
 }
 
-void
-MultiSetSender::advance()
+bool
+MultiSetSender::beginSlot(std::size_t slot, sim::ProcView &)
 {
-    const unsigned k = static_cast<unsigned>(pools_.size());
-    while (setIdx_ < k) {
-        const std::size_t bitIdx = slotIdx_ * k + setIdx_;
+    const std::size_t k = pools_.size();
+    for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t bitIdx = slot * k + j;
         if (bitIdx >= bits_.size()) {
-            phase_ = Phase::Done;
-            return;
+            // The message ends in this slot: halt after its last bit.
+            push(sim::MemOp::halt());
+            break;
         }
-        if (bits_[bitIdx] && storeIdx_ < d_) {
-            phase_ = Phase::Encode;
-            return;
+        if (bits_[bitIdx]) {
+            for (unsigned i = 0; i < d_; ++i)
+                push(sim::MemOp::store(pools_[j][i]));
         }
-        ++setIdx_;
-        storeIdx_ = 0;
     }
-    phase_ = Phase::Wait;
-}
-
-std::optional<sim::MemOp>
-MultiSetSender::next(sim::ProcView &)
-{
-    switch (phase_) {
-      case Phase::Init:
-        return sim::MemOp::tscRead();
-      case Phase::Encode:
-        return sim::MemOp::store(pools_[setIdx_][storeIdx_]);
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + ts_);
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-MultiSetSender::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                         sim::ProcView &)
-{
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        setIdx_ = 0;
-        storeIdx_ = 0;
-        advance();
-        break;
-      case sim::MemOp::Kind::Store:
-        ++storeIdx_;
-        advance();
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        ++slotIdx_;
-        setIdx_ = 0;
-        storeIdx_ = 0;
-        advance();
-        break;
-      default:
-        break;
-    }
+    return true;
 }
 
 MultiSetReceiver::MultiSetReceiver(std::vector<std::vector<Addr>> replA,
                                    std::vector<std::vector<Addr>> replB,
                                    Cycles tr, std::size_t slots)
-    : tr_(tr), slots_(slots)
+    : SlotProgram(tr), slots_(slots)
 {
     if (replA.empty() || replA.size() != replB.size())
         fatalf("MultiSetReceiver: mismatched replacement pools");
-    for (auto &pool : replA) {
-        for (Addr a : pool)
-            warmupOrder_.push_back(a);
+    for (auto &pool : replA)
         chaseA_.emplace_back(std::move(pool));
-    }
-    for (auto &pool : replB) {
-        for (Addr a : pool)
-            warmupOrder_.push_back(a);
+    for (auto &pool : replB)
         chaseB_.emplace_back(std::move(pool));
+    // Prologue: two untimed warm-up sweeps over every A then every B
+    // pool, as scalar loads.
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        for (const auto *chases : {&chaseA_, &chaseB_})
+            for (const PointerChase &chase : *chases)
+                for (Addr a : chase.order())
+                    push(sim::MemOp::load(a));
     }
-    // Two warm-up sweeps over everything.
-    const std::size_t once = warmupOrder_.size();
-    for (std::size_t i = 0; i < once; ++i)
-        warmupOrder_.push_back(warmupOrder_[i]);
 }
 
 void
-MultiSetReceiver::startMeasurement(Rng &rng)
+MultiSetReceiver::queueChase(Rng &rng)
 {
-    PointerChase &chase =
-        useA_ ? chaseA_[setIdx_] : chaseB_[setIdx_];
+    PointerChase &chase = useA_ ? chaseA_[setIdx_] : chaseB_[setIdx_];
     chase.reshuffle(rng);
-    ops_ = chase.batchedMeasurementOps();
-    opPos_ = 0;
-    sawFirstTsc_ = false;
-    phase_ = Phase::Measure;
+    pushTimed(chase.sweep());
 }
 
-std::optional<sim::MemOp>
-MultiSetReceiver::next(sim::ProcView &)
+bool
+MultiSetReceiver::beginSlot(std::size_t slot, sim::ProcView &view)
 {
-    switch (phase_) {
-      case Phase::Warmup:
-        if (warmupPos_ < warmupOrder_.size())
-            return sim::MemOp::load(warmupOrder_[warmupPos_]);
-        phase_ = Phase::InitTsc;
-        return sim::MemOp::tscRead();
-      case Phase::InitTsc:
-        return sim::MemOp::tscRead();
-      case Phase::Wait:
-        return sim::MemOp::spinUntil(tlast_ + tr_);
-      case Phase::Measure:
-        if (opPos_ < ops_.size())
-            return ops_[opPos_];
-        panic("MultiSetReceiver: ops exhausted");
-      case Phase::Done:
-        return sim::MemOp::halt();
-    }
-    return sim::MemOp::halt();
-}
-
-void
-MultiSetReceiver::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                           sim::ProcView &view)
-{
-    switch (phase_) {
-      case Phase::Warmup:
-        ++warmupPos_;
-        break;
-      case Phase::InitTsc:
-        tlast_ = res.tsc;
-        phase_ = Phase::Wait;
-        break;
-      case Phase::Wait: {
-        // Detect slot overruns: the previous slot's k chases spilling
-        // past the boundary shows up as an immediate release.
-        if (res.latency == 0)
-            ++overruns_;
-        tlast_ = res.tsc;
+    if (slot > 0) {
         setIdx_ = 0;
-        startMeasurement(view.rng());
-        break;
-      }
-      case Phase::Measure:
-        ++opPos_;
-        if (op.kind == sim::MemOp::Kind::TscRead) {
-            if (!sawFirstTsc_) {
-                sawFirstTsc_ = true;
-                tscStart_ = res.tsc;
-            } else {
-                double lat = static_cast<double>(res.tsc - tscStart_);
-                const double sigma = view.noise().measSigma(tr_);
-                if (sigma > 0.0)
-                    lat += view.rng().gaussian(0.0, sigma);
-                samples_.push_back(lat);
-                ++setIdx_;
-                if (setIdx_ < chaseA_.size()) {
-                    startMeasurement(view.rng());
-                } else {
-                    useA_ = !useA_;
-                    ++slotsDone_;
-                    phase_ = slotsDone_ >= slots_ ? Phase::Done
-                                                  : Phase::Wait;
-                }
-            }
-        }
-        break;
-      case Phase::Done:
-        break;
+        queueChase(view.rng());
     }
+    return true;
+}
+
+bool
+MultiSetReceiver::onSample(double cycles, sim::ProcView &view)
+{
+    samples_.push_back(measuredLatency(cycles, period(), view));
+    if (++setIdx_ < chaseA_.size()) {
+        queueChase(view.rng());
+        return true;
+    }
+    useA_ = !useA_;
+    return ++slotsDone_ < slots_;
 }
 
 ChannelResult

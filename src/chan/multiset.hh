@@ -16,6 +16,7 @@
 
 #include "chan/channel.hh"
 #include "chan/pointer_chase.hh"
+#include "chan/slot_program.hh"
 
 namespace wb::chan
 {
@@ -52,7 +53,7 @@ struct MultiSetConfig : sim::RunSpec
 };
 
 /** Striped sender: slot s, set j carries message bit s*k + j. */
-class MultiSetSender : public sim::Program
+class MultiSetSender : public SlotProgram
 {
   public:
     /**
@@ -64,36 +65,16 @@ class MultiSetSender : public sim::Program
     MultiSetSender(std::vector<std::vector<Addr>> linePools,
                    std::vector<bool> bits, unsigned d, Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
   private:
-    enum class Phase
-    {
-        Init,
-        Encode,
-        Wait,
-        Done
-    };
-
-    /** Advance setIdx_/storeIdx_ to the next due store, or to Wait. */
-    void advance();
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     std::vector<std::vector<Addr>> pools_;
     std::vector<bool> bits_;
     unsigned d_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
-    std::size_t slotIdx_ = 0;
-    unsigned setIdx_ = 0;
-    unsigned storeIdx_ = 0;
-    Cycles tlast_ = 0;
 };
 
 /** Receiver timing k replacements per slot, set-major order. */
-class MultiSetReceiver : public sim::Program
+class MultiSetReceiver : public SlotProgram
 {
   public:
     /**
@@ -106,45 +87,23 @@ class MultiSetReceiver : public sim::Program
                      std::vector<std::vector<Addr>> replB, Cycles tr,
                      std::size_t slots);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     /** Interleaved samples (slot-major, set-minor = message order). */
     const std::vector<double> &samples() const { return samples_; }
 
-    /** True when the receiver's k chases no longer fit the slot. */
-    bool overran() const { return overruns_ > slots_ / 10; }
-
   private:
-    enum class Phase
-    {
-        Warmup,
-        InitTsc,
-        Wait,
-        Measure,
-        Done
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
-    void startMeasurement(Rng &rng);
+    /** Queue the timed chase of set setIdx_'s current replacement set. */
+    void queueChase(Rng &rng);
 
     std::vector<PointerChase> chaseA_;
     std::vector<PointerChase> chaseB_;
-    Cycles tr_;
     std::size_t slots_;
 
-    Phase phase_ = Phase::Warmup;
-    std::vector<Addr> warmupOrder_;
-    std::size_t warmupPos_ = 0;
     unsigned setIdx_ = 0;
     bool useA_ = true;
-    std::vector<sim::MemOp> ops_;
-    std::size_t opPos_ = 0;
-    bool sawFirstTsc_ = false;
-    Cycles tscStart_ = 0;
-    Cycles tlast_ = 0;
     std::size_t slotsDone_ = 0;
-    std::size_t overruns_ = 0;
     std::vector<double> samples_;
 };
 

@@ -7,76 +7,46 @@ namespace wb::chan
 
 NoiseProcess::NoiseProcess(std::vector<Addr> lines,
                            const NoiseProcessConfig &cfg)
-    : lines_(std::move(lines)), cfg_(cfg)
+    : SlotProgram(cfg.period), lines_(std::move(lines)),
+      burstLines_(cfg.burstLines), storeFraction_(cfg.storeFraction)
 {
     if (lines_.empty())
         fatalf("NoiseProcess: needs at least one line");
+    // The queued sweeps point into burst_: it must never reallocate.
+    burst_.reserve(burstLines_);
 }
 
-void
-NoiseProcess::buildBurst(Rng &rng)
+bool
+NoiseProcess::beginSlot(std::size_t slot, sim::ProcView &view)
 {
-    // chance() consumes no draws for the pure 0.0/1.0 fractions, so
-    // all-load and all-store noise stays deterministic relative to
-    // the run RNG (and forms a single run each).
-    runs_.clear();
-    runPos_ = 0;
-    for (unsigned i = 0; i < cfg_.burstLines; ++i) {
-        const Addr line = lines_[nextLine_];
+    if (slot == 0)
+        return true; // the first period only sets the pace
+    burst_.clear();
+    accesses_ += burstLines_;
+    std::size_t runStart = 0;
+    bool runIsStore = false;
+    auto queueRun = [&] {
+        const Addr *first = burst_.data() + runStart;
+        const std::size_t n = burst_.size() - runStart;
+        push(runIsStore ? sim::MemOp::storeBatch(first, n)
+                        : sim::MemOp::loadBatch(first, n));
+    };
+    for (unsigned i = 0; i < burstLines_; ++i) {
+        // chance() consumes no draws for the pure 0.0/1.0 fractions,
+        // so all-load and all-store noise stays deterministic
+        // relative to the run RNG (and forms a single run).
+        const bool isStore = view.rng().chance(storeFraction_);
+        if (i > 0 && isStore != runIsStore) {
+            queueRun();
+            runStart = i;
+        }
+        runIsStore = isStore;
+        burst_.push_back(lines_[nextLine_]);
         nextLine_ = (nextLine_ + 1) % lines_.size();
-        const bool isStore = rng.chance(cfg_.storeFraction);
-        if (runs_.empty() || runs_.back().isStore != isStore)
-            runs_.push_back({isStore, {}});
-        runs_.back().lines.push_back(line);
     }
-}
-
-std::optional<sim::MemOp>
-NoiseProcess::next(sim::ProcView &)
-{
-    if (!started_) {
-        started_ = true;
-        return sim::MemOp::tscRead();
-    }
-    if (spinning_)
-        return sim::MemOp::spinUntil(tlast_ + cfg_.period);
-    if (runPos_ < runs_.size()) {
-        const BurstRun &run = runs_[runPos_];
-        return run.isStore
-                   ? sim::MemOp::storeBatch(run.lines.data(),
-                                            run.lines.size())
-                   : sim::MemOp::loadBatch(run.lines.data(),
-                                           run.lines.size());
-    }
-    // Empty burst (burstLines == 0): go straight back to spinning.
-    spinning_ = true;
-    return sim::MemOp::spinUntil(tlast_ + cfg_.period);
-}
-
-void
-NoiseProcess::onResult(const sim::MemOp &op, const sim::OpResult &res,
-                       sim::ProcView &view)
-{
-    switch (op.kind) {
-      case sim::MemOp::Kind::TscRead:
-        tlast_ = res.tsc;
-        spinning_ = true;
-        break;
-      case sim::MemOp::Kind::SpinUntil:
-        tlast_ = res.tsc;
-        spinning_ = false;
-        buildBurst(view.rng());
-        break;
-      case sim::MemOp::Kind::LoadBatch:
-      case sim::MemOp::Kind::StoreBatch:
-        accesses_ += res.batch.accesses;
-        ++runPos_;
-        if (runPos_ >= runs_.size())
-            spinning_ = true;
-        break;
-      default:
-        break;
-    }
+    if (!burst_.empty())
+        queueRun();
+    return true;
 }
 
 } // namespace wb::chan

@@ -14,8 +14,8 @@
 
 #include <vector>
 
+#include "chan/slot_program.hh"
 #include "common/types.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
@@ -30,9 +30,9 @@ struct NoiseProcessConfig
 
 /**
  * The noise program: periodic bursts of target-set accesses, issued
- * as batched load/store sweeps.
+ * as batched load/store sweeps, one burst per slot after the first.
  */
-class NoiseProcess : public sim::Program
+class NoiseProcess : public SlotProgram
 {
   public:
     /**
@@ -41,36 +41,22 @@ class NoiseProcess : public sim::Program
      */
     NoiseProcess(std::vector<Addr> lines, const NoiseProcessConfig &cfg);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
-    /** Total accesses issued. */
+    /** Total accesses queued (a burst counts when its slot begins). */
     std::uint64_t accesses() const { return accesses_; }
 
   private:
-    /** A run of consecutive same-kind touches within one burst. */
-    struct BurstRun
-    {
-        bool isStore = false;
-        std::vector<Addr> lines;
-    };
-
     /**
-     * Draw the next burst's load/store decisions (per line, as the
-     * scalar path did) and group consecutive same-kind touches into
-     * runs, preserving the original line order.
+     * Draw the slot's per-line load/store decisions and queue each run
+     * of consecutive same-kind touches as one batched sweep,
+     * preserving the line order.
      */
-    void buildBurst(Rng &rng);
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
-    NoiseProcessConfig cfg_;
-    Cycles tlast_ = 0;
+    unsigned burstLines_;
+    double storeFraction_;
     std::size_t nextLine_ = 0;
-    std::vector<BurstRun> runs_; //!< this burst's batched sweeps
-    std::size_t runPos_ = 0;     //!< next run to issue
-    bool spinning_ = true;
-    bool started_ = false;
+    std::vector<Addr> burst_; //!< this burst's lines (capacity fixed)
     std::uint64_t accesses_ = 0;
 };
 

@@ -26,12 +26,4 @@ PointerChase::measurementOps() const
     return ops;
 }
 
-std::vector<sim::MemOp>
-PointerChase::batchedMeasurementOps() const
-{
-    return {sim::MemOp::tscRead(),
-            sim::MemOp::loadBatch(order_.data(), order_.size()),
-            sim::MemOp::tscRead()};
-}
-
 } // namespace wb::chan

@@ -45,13 +45,15 @@ class PointerChase
     std::vector<sim::MemOp> measurementOps() const;
 
     /**
-     * measurementOps() with the traversal as one batched load sweep:
-     * TscRead, loadBatch over the whole permuted order, TscRead —
-     * the timed-measurement primitive every batched receiver uses.
-     * The returned ops reference this chase's order storage; they
-     * stay valid until the next reshuffle().
+     * The traversal as one batched load sweep over the permuted order:
+     * the op every batched receiver times. It references this chase's
+     * order storage, which reshuffle() permutes in place.
      */
-    std::vector<sim::MemOp> batchedMeasurementOps() const;
+    sim::MemOp
+    sweep() const
+    {
+        return sim::MemOp::loadBatch(order_.data(), order_.size());
+    }
 
     /** Number of lines in the set. */
     std::size_t size() const { return order_.size(); }

@@ -9,7 +9,10 @@
  * write-back penalty) and re-initializes the set with clean lines, so
  * no separate initialization phase is needed. Two replacement sets are
  * used alternately so the lines being timed always come from L2, not
- * from the L1 they were left in by the previous measurement.
+ * from the L1 they were left in by the previous measurement. The
+ * pacing (`while (TSC < Tlast + Tr); Tlast = TSC;`) is
+ * chan::SlotProgram's; the first slot only sets the pace, and every
+ * later slot holds one timed measurement.
  */
 
 #ifndef WB_CHAN_RECEIVER_HH
@@ -17,9 +20,9 @@
 
 #include <vector>
 
-#include "common/types.hh"
 #include "chan/pointer_chase.hh"
-#include "sim/smt_core.hh"
+#include "chan/slot_program.hh"
+#include "common/types.hh"
 
 namespace wb::chan
 {
@@ -31,8 +34,15 @@ struct Observation
     Cycles at = 0;        //!< receiver virtual time of the measurement
 };
 
-/** Receiver state machine. */
-class ReceiverProgram : public sim::Program
+/**
+ * A timed section's reading as a receiver records it: @p cycles plus
+ * the platform's per-measurement Gaussian noise at sampling period
+ * @p tr (one draw from the run Rng when that noise is on).
+ */
+double measuredLatency(double cycles, Cycles tr, sim::ProcView &view);
+
+/** The WB receiver: one timed replacement-set chase per slot. */
+class ReceiverProgram : public SlotProgram
 {
   public:
     /**
@@ -47,10 +57,6 @@ class ReceiverProgram : public sim::Program
                     std::vector<Addr> replacementB, Cycles tr,
                     std::size_t sampleCount, unsigned warmupSweeps = 2);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     /** The recorded observations (valid after the run). */
     const std::vector<Observation> &observations() const { return obs_; }
 
@@ -58,48 +64,27 @@ class ReceiverProgram : public sim::Program
     std::vector<double> latencies() const;
 
     /** True once sampleCount observations were recorded. */
-    bool done() const { return done_; }
+    bool done() const { return obs_.size() >= sampleCount_; }
+
+  protected:
+    /**
+     * Queue one slot's timed section over @p chase, the replacement
+     * set whose turn it is (Algorithm 2 alternates A and B): a
+     * re-randomized chase, preceded by a dither delay under a coarse
+     * timer.
+     */
+    virtual void queueMeasurement(PointerChase &chase, sim::ProcView &view);
 
   private:
-    enum class Phase
-    {
-        Warmup,  //!< untimed batched sweeps of A and B
-        Init,    //!< read TSC once to establish Tlast
-        Wait,    //!< spin until Tlast + Tr
-        Measure, //!< TscRead, batched chase sweep, TscRead
-        Done     //!< sampleCount observations recorded
-    };
-
-    /** Begin a measurement over the current replacement set. */
-    void startMeasurement(Rng &rng);
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
+    bool onSample(double cycles, sim::ProcView &view) override;
 
     PointerChase chaseA_;
     PointerChase chaseB_;
-    Cycles tr_;
     std::size_t sampleCount_;
-    unsigned warmupSweeps_;
-
-    Phase phase_ = Phase::Warmup;
-    bool useA_ = true; //!< Algorithm 2: alternate replacement sets
-    bool warmupDone_ = false;
-    std::vector<Addr> warmupOrder_;
-
-    std::vector<sim::MemOp> measureOps_;
-    std::size_t measurePos_ = 0;
-    Cycles tscStart_ = 0;
-    bool sawFirstTsc_ = false;
-
-    Cycles tlast_ = 0;
+    std::vector<Addr> warmupOrder_; //!< the prologue's batched sweeps
+    bool useA_ = true;
     std::vector<Observation> obs_;
-    bool done_ = false;
-
-    /**
-     * Effective timer granule when the observer is coarse (1 = legacy
-     * cycle-accurate, no dither). Refreshed from the noise model at
-     * each slot boundary; startMeasurement prepends a uniform dither
-     * delay in [0, granule) when > 1.
-     */
-    Cycles ditherGranule_ = 1;
 };
 
 } // namespace wb::chan

@@ -7,7 +7,7 @@
  * the target set (d = 0 means no access at all) with one batched store
  * sweep, then busy-waits for the period boundary and re-bases its
  * period clock on the post-spin timestamp, exactly as Algorithm 3's
- * `while (TSC < Tlast + Ts); Tlast = TSC;` does.
+ * `while (TSC < Tlast + Ts); Tlast = TSC;` does (chan::SlotProgram).
  */
 
 #ifndef WB_CHAN_SENDER_HH
@@ -15,14 +15,14 @@
 
 #include <vector>
 
+#include "chan/slot_program.hh"
 #include "common/types.hh"
-#include "sim/smt_core.hh"
 
 namespace wb::chan
 {
 
-/** Sender state machine. */
-class SenderProgram : public sim::Program
+/** The WB sender: slot s carries symbol s as d dirty lines. */
+class SenderProgram : public SlotProgram
 {
   public:
     /**
@@ -34,32 +34,18 @@ class SenderProgram : public sim::Program
     SenderProgram(std::vector<Addr> lines, std::vector<unsigned> dSequence,
                   Cycles ts);
 
-    std::optional<sim::MemOp> next(sim::ProcView &view) override;
-    void onResult(const sim::MemOp &op, const sim::OpResult &res,
-                  sim::ProcView &view) override;
-
     /** True once every symbol has been modulated. */
-    bool done() const { return done_; }
+    bool done() const { return symbolIdx_ >= dSeq_.size(); }
 
     /** Number of symbols modulated so far. */
     std::size_t symbolsSent() const { return symbolIdx_; }
 
   private:
-    enum class Phase
-    {
-        Init,   //!< read the TSC once to establish Tlast
-        Encode, //!< issue the current symbol's batched store sweep
-        Wait    //!< spin until Tlast + Ts
-    };
+    bool beginSlot(std::size_t slot, sim::ProcView &view) override;
 
     std::vector<Addr> lines_;
     std::vector<unsigned> dSeq_;
-    Cycles ts_;
-
-    Phase phase_ = Phase::Init;
     std::size_t symbolIdx_ = 0;
-    Cycles tlast_ = 0;
-    bool done_ = false;
 };
 
 } // namespace wb::chan
