@@ -45,6 +45,13 @@ run extensions bench_extensions
 run side_channel_attack example_side_channel_attack
 run defense_evaluation example_defense_evaluation
 
+# Paper drivers that put every baseline program under the bit-identity
+# diff: Flush+Reload, Hit+Hit and WB (Table I), LRU and Prime+Probe
+# with noise processes (Fig. 8), continuous-modulation LRU (Table VI).
+run table1_taxonomy bench_table1_taxonomy
+run fig8_noise bench_fig8_noise
+run table6_loads bench_table6_loads
+
 # The artifact sweeps CI uploads.
 run platform_sweep example_platform_sweep 2 -j 4
 run noise_sweep example_noise_sweep 3 -j 4

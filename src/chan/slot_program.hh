@@ -82,7 +82,7 @@ class SlotProgram : public sim::Program
     void
     pushUntil(const sim::MemOp &op, Cycles deadline)
     {
-        if (deadline > 0)
+        if (deadline > 0) // 0 has always passed (and marks a one-shot)
             body_.push_back({op, deadline});
     }
 
